@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
           .cell(arch)
           .cell(algorithm_label(name))
           .cell(utils::format_percent(target, 0))
-          .cell(rounds ? std::to_string(*rounds) : ">" + std::to_string(scale.rounds) + "*");
+          .cell(rounds ? std::to_string(*rounds)
+                       : std::string(">").append(std::to_string(scale.rounds)).append("*"));
     }
   }
 

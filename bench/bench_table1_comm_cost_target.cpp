@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
             .cell(static_cast<std::int64_t>(rounds))
             .cell(utils::format_bytes(static_cast<double>(per_round_client)))
             .cell(utils::format_bytes(total_bytes))
-            .cell((delta >= 0 ? "+" : "-") + utils::format_bytes(std::abs(delta)))
+            .cell(std::string(delta >= 0 ? "+" : "-").append(utils::format_bytes(std::abs(delta))))
             .cell(utils::format_speedup(baseline / total_bytes));
       }
     }

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
             .cell(utils::format_bytes(total_bytes))
             .cell(utils::format_speedup(base_total / total_bytes))
             .cell(utils::format_percent(converge_acc))
-            .cell((dacc >= 0 ? "+" : "") + utils::format_percent(dacc));
+            .cell(std::string(dacc >= 0 ? "+" : "").append(utils::format_percent(dacc)));
       }
     }
   }

@@ -40,7 +40,7 @@ struct RoundRecord {
   double eval_seconds = 0.0;        ///< wall-clock of the evaluation that follows
   /// Per-phase breakdown of round_seconds (cumulative thread-seconds; see
   /// obs/telemetry.hpp for the parallel-pool caveat).
-  obs::PhaseSeconds phases;
+  obs::PhaseSeconds phases{};
 
   // Cohort fate under network simulation (RunOptions::sim).  Without a
   // simulator every sampled client completes and sim_seconds stays zero.

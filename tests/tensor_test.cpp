@@ -116,7 +116,7 @@ TEST(Tensor, ShapeMismatchThrows) {
   Tensor a = Tensor::ones(Shape{3});
   Tensor b = Tensor::ones(Shape{4});
   EXPECT_THROW(a.add_(b), std::invalid_argument);
-  EXPECT_THROW(a.dot(b), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(a.dot(b)), std::invalid_argument);
 }
 
 TEST(Tensor, Reductions) {

@@ -198,7 +198,7 @@ TEST(Logging, SetAndGetLevel) {
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch watch;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(watch.seconds(), 0.0);
   watch.reset();
   EXPECT_LT(watch.seconds(), 1.0);
