@@ -6,6 +6,7 @@
 #include "fl/checkpoint/state_io.hpp"
 #include "fl/fusion_stream.hpp"
 #include "nn/loss.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace fedkemf::fl {
@@ -82,22 +83,7 @@ void weighted_average_into(nn::Module& global, std::span<nn::Module* const> clie
   if (client_models.size() != sampled.size() || sampled.empty()) {
     throw std::invalid_argument("weighted_average_into: bad inputs");
   }
-  double total_weight = 0.0;
-  for (std::size_t id : sampled) {
-    total_weight += static_cast<double>(federation.client_shard(id).size());
-  }
-  if (total_weight <= 0.0) {
-    throw std::invalid_argument("weighted_average_into: zero total shard size");
-  }
-
-  // Stream members through a single zero-initialized accumulator: identical
-  // float-op order to the historical batch loop, O(model) working set.
-  StreamingWeightedSum sum(global, total_weight);
-  for (std::size_t i = 0; i < sampled.size(); ++i) {
-    sum.add(*client_models[i],
-            static_cast<double>(federation.client_shard(sampled[i]).size()));
-  }
-  sum.finalize();
+  shard_weighted_mean_into(global, client_models, sampled, {}, {}, federation);
 }
 
 void weighted_state_average_into(nn::Module& global,
@@ -126,6 +112,78 @@ void weighted_state_average_into(nn::Module& global,
     }
   }
   sum.finalize();
+}
+
+void shard_weighted_mean_into(nn::Module& global, std::span<nn::Module* const> fresh,
+                              std::span<const std::size_t> fresh_ids,
+                              std::span<const StaleUpdate> stale,
+                              std::span<const double> stale_weights,
+                              const Federation& federation) {
+  const auto shard = [&](std::size_t id) {
+    return static_cast<double>(federation.client_shard(id).size());
+  };
+  double total_weight = 0.0;
+  for (std::size_t id : fresh_ids) total_weight += shard(id);
+  for (std::size_t k = 0; k < stale.size(); ++k) {
+    total_weight += shard(stale[k].client_id) * stale_weights[k];
+  }
+  // Stream members through a single zero-initialized accumulator: identical
+  // float-op order to the historical batch loop, O(model) working set.
+  StreamingWeightedSum sum(global, total_weight);
+  for (std::size_t i = 0; i < fresh.size(); ++i) sum.add(*fresh[i], shard(fresh_ids[i]));
+  for (std::size_t k = 0; k < stale.size(); ++k) {
+    sum.add(stale[k].state, shard(stale[k].client_id) * stale_weights[k]);
+  }
+  sum.finalize();
+}
+
+bool cap_fusion_members(std::size_t cap, std::vector<std::size_t>& fresh,
+                        std::vector<StaleUpdate>& stale, std::vector<double>& stale_weights) {
+  const std::size_t total = fresh.size() + stale.size();
+  if (cap == 0 || total <= cap) return false;
+  const std::size_t keep_fresh = std::min(fresh.size(), cap);
+  const std::size_t keep_stale = std::min(stale.size(), cap - keep_fresh);
+  const auto drop_stale = static_cast<std::ptrdiff_t>(stale.size() - keep_stale);
+  stale.erase(stale.begin(), stale.begin() + drop_stale);
+  stale_weights.erase(stale_weights.begin(), stale_weights.begin() + drop_stale);
+  fresh.resize(keep_fresh);
+  static obs::Counter& shed_counter =
+      obs::MetricsRegistry::global().counter("fl.fusion.shed_members");
+  static obs::Counter& degraded_counter =
+      obs::MetricsRegistry::global().counter("fl.fusion.degraded_rounds");
+  shed_counter.add(total - keep_fresh - keep_stale);
+  degraded_counter.add();
+  return true;
+}
+
+bool Algorithm::park_straggler(std::size_t round_index, std::size_t client_id,
+                               nn::Module& staged,
+                               const std::function<void(StaleUpdate&)>& fill_extras) {
+  if (stale_buffer_ == nullptr) return false;  // legacy policy: discard
+  const std::size_t delay = simulator_->lateness(round_index, client_id);
+  if (delay == 0) return true;  // lands within its own round after all
+  StaleUpdate update;
+  update.client_id = client_id;
+  update.origin_round = round_index;
+  update.due_round = round_index + delay;
+  update.state = nn::snapshot_state(staged);
+  if (fill_extras) fill_extras(update);
+  stale_buffer_->push(std::move(update));
+  return false;
+}
+
+void Algorithm::collect_due_stale(std::size_t round_index) {
+  stale_updates_.clear();
+  stale_weights_.clear();
+  last_stale_applied_ = 0;
+  if (stale_buffer_ == nullptr) return;
+  for (StaleUpdate& update : stale_buffer_->take_due(round_index)) {
+    const double weight = stale_buffer_->weight(round_index - update.origin_round);
+    if (weight <= 0.0) continue;  // alpha -> inf: the discount IS a discard
+    stale_updates_.push_back(std::move(update));
+    stale_weights_.push_back(weight);
+  }
+  last_stale_applied_ = stale_updates_.size();
 }
 
 }  // namespace fedkemf::fl

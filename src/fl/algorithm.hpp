@@ -87,7 +87,7 @@ class Algorithm {
   StaleUpdateBuffer* stale_buffer() const { return stale_buffer_; }
 
   /// Buffered late updates folded into the last round's aggregation.
-  virtual std::size_t last_stale_applied() const { return 0; }
+  std::size_t last_stale_applied() const { return last_stale_applied_; }
 
   // ---- Overload policy (resource budgets and graceful degradation).
   //
@@ -145,8 +145,23 @@ class Algorithm {
   /// installed or no adversary fraction is configured.
   const sim::AdversaryModel* adversary_model() const;
 
+  /// Parks a straggler's uploaded `staged` net in the stale buffer (no-op
+  /// without one); `fill_extras` adds the algorithm's payload to the entry.
+  /// Returns true when the update arrives within its own round after all
+  /// (lateness 0): the caller then folds the client back into the cohort.
+  bool park_straggler(std::size_t round_index, std::size_t client_id, nn::Module& staged,
+                      const std::function<void(StaleUpdate&)>& fill_extras = {});
+
+  /// Drains the stale buffer's due entries into stale_updates_ /
+  /// stale_weights_, skipping entries whose discount underflowed to zero
+  /// (alpha -> inf therefore reproduces the discard policy bitwise).
+  void collect_due_stale(std::size_t round_index);
+
   sim::Simulator* simulator_ = nullptr;
   StaleUpdateBuffer* stale_buffer_ = nullptr;
+  std::vector<StaleUpdate> stale_updates_;  ///< late uploads due this round
+  std::vector<double> stale_weights_;       ///< parallel staleness discounts
+  std::size_t last_stale_applied_ = 0;
   core::MemoryBudget* memory_budget_ = nullptr;
   SpillStore* spill_store_ = nullptr;
   std::size_t max_fusion_members_ = 0;
@@ -209,5 +224,25 @@ struct StateContribution {
 /// must have global's tensor layout (snapshot_state order).
 void weighted_state_average_into(nn::Module& global,
                                  std::span<const StateContribution> members);
+
+/// The FedAvg rule over a fresh cohort plus late uploads: `fresh` (the
+/// uploaded nets of `fresh_ids`, same order) weigh their clients' shard
+/// sizes, each stale update its client's shard size times its discount in
+/// `stale_weights`.  Fresh members stream first, then stale ones.  With no
+/// stale members this is weighted_average_into bit for bit.
+void shard_weighted_mean_into(nn::Module& global, std::span<nn::Module* const> fresh,
+                              std::span<const std::size_t> fresh_ids,
+                              std::span<const StaleUpdate> stale,
+                              std::span<const double> stale_weights,
+                              const Federation& federation);
+
+/// Enforces a fusion-member cap (0 = unlimited) over `fresh` + `stale`.
+/// Fresh members outrank stale ones; within each class the canonical order
+/// decides who stays, so `fresh` loses its tail and `stale` (oldest origin
+/// first, the most discounted) its head, together with `stale_weights`.
+/// Returns true, and counts the round in the fl.fusion.* metrics, when
+/// anything was shed.
+bool cap_fusion_members(std::size_t cap, std::vector<std::size_t>& fresh,
+                        std::vector<StaleUpdate>& stale, std::vector<double>& stale_weights);
 
 }  // namespace fedkemf::fl

@@ -2,7 +2,7 @@
 
 // Robust per-example logit fusion.
 //
-// The mean and max fusions of ensemble_logits (fl/fedkemf.hpp) are both
+// The mean and max fusions of ensemble_logits (fl/ensemble_distill.hpp) are both
 // breakable by a single Byzantine member: one teacher emitting a huge logit
 // owns the elementwise max outright and drags the mean arbitrarily far.  The
 // coordinate-wise order statistics below bound the damage instead — as long

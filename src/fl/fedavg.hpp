@@ -31,7 +31,6 @@ class FedAvg : public Algorithm {
   void save_state(core::ByteWriter& writer) override;
   void load_state(core::ByteReader& reader) override;
 
-  std::size_t last_stale_applied() const override { return last_stale_applied_; }
   /// Releases the departed client's working models; a rebuilt slot starts
   /// from fresh fork streams, exactly as a never-sampled client would.
   void on_client_evicted(std::size_t client_id) override;
@@ -71,29 +70,10 @@ class FedAvg : public Algorithm {
   virtual void fill_stale_extras(std::size_t round_index, std::size_t client_id,
                                  const LocalTrainResult& result, StaleUpdate& update);
 
-  /// Parks a straggler's staged update in the stale buffer (no-op without
-  /// one).  Returns true when the update turned out to arrive within its own
-  /// round (lateness 0) — the caller then folds the client back into the
-  /// cohort exactly as a synchronous completion.
-  bool park_straggler(std::size_t round_index, std::size_t client_id, Slot& client_slot,
-                      const LocalTrainResult& result);
-
-  /// Drains the stale buffer's due entries into stale_updates_ /
-  /// stale_weights_, skipping entries whose discount underflowed to zero
-  /// (alpha -> inf therefore reproduces the discard policy bitwise).
-  void collect_due_stale(std::size_t round_index);
-
   /// Subset of `sampled` whose round survived every simulator gate (all of
   /// `sampled` when no simulator is installed).  Valid after the parallel
   /// client section of round().
   std::vector<std::size_t> surviving_clients(std::span<const std::size_t> sampled) const;
-
-  /// Enforces max_fusion_members_ over survivors + due stale updates: sheds
-  /// stale entries first (oldest origin first — the most-discounted, lowest-
-  /// priority members), then fresh survivors highest-client-id first, and
-  /// flags the round degraded when anything was shed.  Returns the survivors
-  /// that remain.  No-op (and bitwise-neutral) when the cap is 0.
-  std::vector<std::size_t> apply_fusion_cap(std::vector<std::size_t> survivors);
 
   /// Simulated local training cost for one client this round, in FLOPs.
   double client_training_flops(std::size_t client_id, std::size_t round_index);
@@ -105,9 +85,6 @@ class FedAvg : public Algorithm {
   std::vector<Slot> slots_;
   std::vector<LocalTrainResult> last_results_;  ///< per sampled index, this round
   std::vector<std::uint8_t> completed_;         ///< per sampled index, this round
-  std::vector<StaleUpdate> stale_updates_;      ///< late uploads due this round
-  std::vector<double> stale_weights_;           ///< parallel staleness discounts
-  std::size_t last_stale_applied_ = 0;
   double flops_per_sample_ = -1.0;              ///< lazy models::estimate_cost cache
 };
 

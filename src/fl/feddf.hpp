@@ -6,7 +6,7 @@
 // that isolates the two halves of FedKEMF's contribution:
 //   * FedDF  = full-model exchange + ensemble distillation fusion;
 //   * FedKEMF = tiny-knowledge-net exchange (DML extraction) + the same
-//     fusion machinery.
+//     fusion machinery (fl::EnsembleDistiller).
 // Comparing the two shows how much of FedKEMF's gain comes from distillation
 // fusion versus from the knowledge-extraction/communication design.
 //
@@ -15,9 +15,8 @@
 // original AvgLogits variant) and then distills the ensemble of client
 // models into the global model on the unlabeled server pool.
 
-#include "fl/defense/reputation.hpp"
+#include "fl/ensemble_distill.hpp"
 #include "fl/fedavg.hpp"
-#include "nn/optim.hpp"
 
 namespace fedkemf::fl {
 
@@ -46,7 +45,7 @@ class FedDf final : public FedAvg {
   const FedDfOptions& options() const { return options_; }
   double last_server_loss() const override { return last_distill_loss_; }
   std::size_t last_rejected_updates() const override { return last_rejected_; }
-  const ReputationTracker* reputation() const { return reputation_.get(); }
+  const ReputationTracker* reputation() const { return distiller_.reputation(); }
 
   /// FedAvg slot eviction + reputation reset for the departed client.
   void on_client_evicted(std::size_t client_id) override;
@@ -55,13 +54,8 @@ class FedDf final : public FedAvg {
   void aggregate(std::size_t round_index, std::span<const std::size_t> sampled) override;
 
  private:
-  /// Same screening contract as FedKemf::screen_members.
-  std::vector<std::size_t> screen_members(std::span<const std::size_t> sampled,
-                                          const core::Tensor& probe);
-
   FedDfOptions options_;
-  std::unique_ptr<nn::Sgd> server_optimizer_;
-  std::unique_ptr<ReputationTracker> reputation_;
+  EnsembleDistiller distiller_;
   double last_distill_loss_ = 0.0;
   std::size_t last_rejected_ = 0;
 };

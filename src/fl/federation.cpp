@@ -1,5 +1,6 @@
 #include "fl/federation.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "utils/logging.hpp"
@@ -94,6 +95,16 @@ void Federation::build_local_test_sets() {
       local.push_back(static_cast<std::size_t>(client_rng.uniform_index(test_set_.size())));
     }
   }
+}
+
+core::Tensor gather_pool(const core::Tensor& pool, std::span<const std::size_t> rows) {
+  const std::size_t sample_numel = pool.numel() / pool.dim(0);
+  core::Tensor out(core::Shape::nchw(rows.size(), pool.dim(1), pool.dim(2), pool.dim(3)));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::memcpy(out.data() + i * sample_numel, pool.data() + rows[i] * sample_numel,
+                sample_numel * sizeof(float));
+  }
+  return out;
 }
 
 }  // namespace fedkemf::fl

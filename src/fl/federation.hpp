@@ -6,6 +6,7 @@
 // A Federation is algorithm-agnostic — FedAvg and FedKEMF run against the
 // same instance, so cross-algorithm comparisons see identical data splits.
 
+#include <span>
 #include <vector>
 
 #include "comm/channel.hpp"
@@ -59,5 +60,8 @@ class Federation {
   comm::TrafficMeter meter_;
   comm::Channel channel_;
 };
+
+/// Gathers rows of an unlabeled [M, C, H, W] pool into a batch tensor.
+core::Tensor gather_pool(const core::Tensor& pool, std::span<const std::size_t> rows);
 
 }  // namespace fedkemf::fl

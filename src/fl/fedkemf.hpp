@@ -22,15 +22,9 @@
 #include <vector>
 
 #include "fl/algorithm.hpp"
-#include "fl/defense/reputation.hpp"
-#include "nn/optim.hpp"
+#include "fl/ensemble_distill.hpp"
 
 namespace fedkemf::fl {
-
-/// Fuses per-member logits [N, C] into ensemble teacher logits (Eq. 5 for
-/// kMaxLogits). Exposed for unit tests and the ensemble-strategy ablation.
-core::Tensor ensemble_logits(EnsembleStrategy strategy,
-                             std::span<const core::Tensor> member_logits);
 
 /// One deep-mutual-learning pass over a client shard (Algorithm 1 lines 3-9).
 /// Both models are updated in place; returns the mean total loss of the
@@ -82,8 +76,6 @@ class FedKemf final : public Algorithm {
   /// during the last round's fusion.
   std::size_t last_rejected_updates() const override { return last_rejected_; }
 
-  std::size_t last_stale_applied() const override { return last_stale_applied_; }
-
   /// Warm start: a joiner's knowledge working copies begin from the current
   /// global knowledge net instead of a cold random init.  The private local
   /// model still starts fresh — it never crossed the wire, so there is
@@ -96,7 +88,7 @@ class FedKemf final : public Algorithm {
   void on_client_evicted(std::size_t client_id) override;
 
   /// Cross-round reputation state (null unless options().reputation.enabled).
-  const ReputationTracker* reputation() const { return reputation_.get(); }
+  const ReputationTracker* reputation() const { return distiller_.reputation(); }
 
   /// Global knowledge network + server optimizer + per-client private models
   /// (full state — they never cross the wire, so the checkpoint is the only
@@ -115,37 +107,21 @@ class FedKemf final : public Algorithm {
   /// Resident bytes a built slot charges against BudgetCategory::kClientState
   /// (0 for an empty slot).
   std::size_t slot_state_bytes(Slot& s) const;
-  void distill_ensemble(std::size_t round_index, std::span<const std::size_t> sampled);
-  void fuse_weight_average(std::span<const std::size_t> sampled);
+  /// Fuses the survivors' staged knowledge nets and the due late uploads
+  /// into the global knowledge net.
+  void fuse(std::size_t round_index, std::span<const std::size_t> survivors);
   double client_training_flops(std::size_t client_id, std::size_t round_index);
-  /// Parks a straggler's staged knowledge net in the stale buffer (no-op
-  /// without one).  Returns true when the lateness draw is 0 — the update
-  /// lands within its own round and the caller folds it back into the cohort.
-  bool park_straggler(std::size_t round_index, std::size_t client_id, Slot& client_slot);
-  /// Drains due stale entries into stale_updates_ / stale_weights_, skipping
-  /// zero discounts (alpha -> inf reproduces the discard policy bitwise).
-  void collect_due_stale(std::size_t round_index);
-  /// Sanitation + reputation screening; returns the member ids allowed into
-  /// fusion (subset of `sampled`, order preserved) and updates
-  /// last_rejected_.  `probe` is the fixed server-pool probe batch used for
-  /// reputation agreement scoring.
-  std::vector<std::size_t> screen_members(std::span<const std::size_t> sampled,
-                                          const core::Tensor& probe);
 
   std::vector<models::ModelSpec> arch_pool_;
   LocalTrainConfig local_config_;
   FedKemfOptions options_;
   Federation* federation_ = nullptr;
+  EnsembleDistiller distiller_;
   std::unique_ptr<nn::Module> global_knowledge_;
-  std::unique_ptr<nn::Sgd> server_optimizer_;
   std::vector<Slot> slots_;
   std::vector<DmlResult> last_results_;
   std::vector<std::uint8_t> completed_;        ///< per sampled index, this round
   std::vector<double> arch_flops_per_sample_;  ///< lazy, indexed like arch_pool_
-  std::unique_ptr<ReputationTracker> reputation_;
-  std::vector<StaleUpdate> stale_updates_;     ///< late uploads due this round
-  std::vector<double> stale_weights_;          ///< parallel staleness discounts
-  std::size_t last_stale_applied_ = 0;
   double last_distill_loss_ = 0.0;             ///< mean KL of the last fusion
   std::size_t last_rejected_ = 0;              ///< screened-out uploads, last round
 };

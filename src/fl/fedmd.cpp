@@ -1,6 +1,5 @@
 #include "fl/fedmd.hpp"
 
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 
@@ -12,19 +11,6 @@
 #include "sim/simulator.hpp"
 
 namespace fedkemf::fl {
-namespace {
-
-core::Tensor gather_pool(const core::Tensor& pool, std::span<const std::size_t> indices) {
-  const std::size_t sample_numel = pool.numel() / pool.dim(0);
-  core::Tensor out(core::Shape::nchw(indices.size(), pool.dim(1), pool.dim(2), pool.dim(3)));
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    std::memcpy(out.data() + i * sample_numel, pool.data() + indices[i] * sample_numel,
-                sample_numel * sizeof(float));
-  }
-  return out;
-}
-
-}  // namespace
 
 FedMd::FedMd(std::vector<models::ModelSpec> client_arch_pool, LocalTrainConfig local_config,
              FedMdOptions options)

@@ -62,12 +62,6 @@ class FedMd final : public Algorithm {
 
   const models::ModelSpec& client_spec(std::size_t id) const;
 
-  /// Stragglers whose logits were folded into the last consensus at a
-  /// staleness discount (FedMD never buffers across rounds — a late logit
-  /// upload refers to *this* round's public batch and is meaningless later,
-  /// so the discount is applied within the round instead).
-  std::size_t last_stale_applied() const override { return last_stale_applied_; }
-
   /// Warm start: when the joiner's architecture matches the server student,
   /// its private model is seeded from the student's current weights.
   void on_client_joined(std::size_t client_id) override;
@@ -84,7 +78,6 @@ class FedMd final : public Algorithm {
   double client_round_flops(std::size_t client_id, std::size_t round_index);
 
   std::vector<double> arch_flops_per_sample_;  ///< lazy, indexed like arch_pool_
-  std::size_t last_stale_applied_ = 0;
 
   std::vector<models::ModelSpec> arch_pool_;
   LocalTrainConfig local_config_;

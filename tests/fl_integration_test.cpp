@@ -3,10 +3,12 @@
 // paper's tables rest on.
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "fl/fedavg.hpp"
+#include "fl/feddf.hpp"
 #include "fl/fedkemf.hpp"
 #include "fl/fednova.hpp"
 #include "fl/fedprox.hpp"
@@ -76,23 +78,40 @@ TEST(Integration, ThreadCountDoesNotChangeResults) {
 }
 
 TEST(Integration, FedKemfThreadCountDeterminism) {
-  auto run_with = [&](std::size_t threads) {
-    Federation fed(integration_federation());
-    FedKemfOptions options;
-    options.knowledge_spec = mlp_spec();
-    options.distill_epochs = 1;
-    FedKemf algorithm({mlp_spec()}, local_config(), options);
-    RunOptions run;
-    run.rounds = 3;
-    run.sample_ratio = 0.5;
-    run.num_threads = threads;
-    return run_federated(fed, algorithm, run);
-  };
-  const RunResult a = run_with(0);
-  const RunResult b = run_with(3);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.history[i].accuracy, b.history[i].accuracy);
+  // FedKEMF and FedDF share the server distiller; both must be invariant to
+  // the worker count.
+  using MakeAlgorithm = std::unique_ptr<Algorithm> (*)();
+  const MakeAlgorithm makers[] = {
+      []() -> std::unique_ptr<Algorithm> {
+        FedKemfOptions options;
+        options.knowledge_spec = mlp_spec();
+        options.distill_epochs = 1;
+        return std::make_unique<FedKemf>(std::vector<models::ModelSpec>{mlp_spec()},
+                                         local_config(), options);
+      },
+      []() -> std::unique_ptr<Algorithm> {
+        FedDfOptions options;
+        options.distill_epochs = 1;
+        return std::make_unique<FedDf>(mlp_spec(), local_config(), options);
+      }};
+  for (const MakeAlgorithm make : makers) {
+    auto run_with = [&](std::size_t threads) {
+      Federation fed(integration_federation());
+      const std::unique_ptr<Algorithm> algorithm = make();
+      RunOptions run;
+      run.rounds = 3;
+      run.sample_ratio = 0.5;
+      run.num_threads = threads;
+      return run_federated(fed, *algorithm, run);
+    };
+    const RunResult a = run_with(0);
+    const RunResult b = run_with(3);
+    SCOPED_TRACE(a.algorithm);
+    ASSERT_EQ(a.history.size(), b.history.size());
+    for (std::size_t i = 0; i < a.history.size(); ++i) {
+      EXPECT_DOUBLE_EQ(a.history[i].accuracy, b.history[i].accuracy);
+      EXPECT_DOUBLE_EQ(a.history[i].train_loss, b.history[i].train_loss);
+    }
   }
 }
 
