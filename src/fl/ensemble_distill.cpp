@@ -164,8 +164,7 @@ void EnsembleDistiller::warm_start(std::span<nn::Module* const> teachers,
   }
 }
 
-DistillOutcome EnsembleDistiller::fuse(std::size_t round_index,
-                                       std::span<const std::size_t> ids,
+DistillOutcome EnsembleDistiller::fuse(std::size_t round_index, std::span<const std::size_t> ids,
                                        std::span<nn::Module* const> nets,
                                        std::vector<StaleUpdate>& stale,
                                        std::vector<double>& stale_weights,

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fl/algorithm.hpp"
@@ -93,8 +94,8 @@ class EnsembleDistiller {
   /// accepted positions into `nets`.  With a `probe`, reputation first
   /// records each sanitized member's argmax agreement with the ensemble.
   std::vector<std::size_t> screen(std::span<nn::Module* const> nets,
-                                  std::span<const std::size_t> clients,
-                                  const core::Tensor* probe, std::size_t& rejected);
+                                  std::span<const std::size_t> clients, const core::Tensor* probe,
+                                  std::size_t& rejected);
   void warm_start(std::span<nn::Module* const> teachers, std::span<nn::Module* const> fresh,
                   std::span<const std::size_t> fresh_ids, std::span<const StaleUpdate> stale,
                   std::span<const double> stale_weights);
