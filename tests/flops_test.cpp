@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/rng.hpp"
 #include "models/flops.hpp"
 
@@ -16,6 +18,12 @@ struct SpecCase {
   double width;
   std::size_t channels;
 };
+
+// Names each case by its value.  Without this gtest prints the raw bytes of
+// the struct, which include the address of `arch` and so change every run.
+void PrintTo(const SpecCase& c, std::ostream* os) {
+  *os << c.arch << ' ' << c.image << 'x' << c.image << 'x' << c.channels << " w" << c.width;
+}
 
 class CostMatchesZoo : public ::testing::TestWithParam<SpecCase> {};
 

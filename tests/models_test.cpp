@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/rng.hpp"
 #include "models/zoo.hpp"
 #include "nn/loss.hpp"
@@ -30,6 +32,12 @@ struct ArchCase {
   double width;
   std::size_t channels;
 };
+
+// Names each case by its value.  Without this gtest prints the raw bytes of
+// the struct, which include the address of `arch` and so change every run.
+void PrintTo(const ArchCase& c, std::ostream* os) {
+  *os << c.arch << ' ' << c.image << 'x' << c.image << 'x' << c.channels << " w" << c.width;
+}
 
 class ArchBuilds : public ::testing::TestWithParam<ArchCase> {};
 
