@@ -13,9 +13,14 @@
 //   3. warm start  trimmed-mean / median state under those strategies, the
 //                  shard-weighted mean otherwise;
 //   4. distill     KL(ensemble || student) over the server pool, members
-//                  weighted by reputation x staleness under avg-logits.
+//                  weighted by reputation x staleness under avg-logits.  Each
+//                  teacher's logits over the whole pool are computed once per
+//                  round, one teacher per client-pool task; the distill
+//                  batches gather their rows from that cache.
 // The algorithms differ only in the constructor's constants: the scratch-net
-// spec, the two RNG salts and the server optimizer's clip norm.
+// spec, the two RNG salts and the server optimizer's clip norm.  FedKEMF's
+// weight-average mode (average()) runs steps 1-2 and then the shard-weighted
+// mean, with no distillation.
 
 #include <cstdint>
 #include <memory>
@@ -28,6 +33,7 @@
 #include "fl/defense/sanitize.hpp"
 #include "models/zoo.hpp"
 #include "nn/optim.hpp"
+#include "utils/thread_pool.hpp"
 
 namespace fedkemf::fl {
 
@@ -65,20 +71,32 @@ class EnsembleDistiller {
         stale_net_salt_(stale_net_salt),
         order_salt_(order_salt) {}
 
-  /// Binds to the federation and the student (the global model the ensemble
-  /// is distilled into); builds the server optimizer and, when enabled, a
-  /// fresh reputation tracker.  Phase time is charged to `phases`.
-  void setup(Federation& federation, nn::Module& student, obs::PhaseAccumulator& phases);
+  /// Binds to the federation, the student (the global model the ensemble is
+  /// distilled into) and the owning algorithm, whose phase accumulator,
+  /// memory budget and fusion-member cap (0 = unlimited) each step uses.
+  /// Builds the server optimizer and, when enabled, a fresh reputation
+  /// tracker.
+  void setup(Federation& federation, nn::Module& student, Algorithm& owner);
 
   /// One fusion step.  `ids` are the fresh members' client ids and `nets`
   /// their uploaded nets, in the same order.  `stale` / `stale_weights` are
   /// the late uploads due this round, oldest origin first; on return they
-  /// hold only the entries that were fused.  `max_members` caps the screened
-  /// cohort (0 = unlimited).  The student is left untouched when screening
-  /// rejects everything.  Throws std::logic_error on an empty server pool.
-  DistillOutcome fuse(std::size_t round_index, std::span<const std::size_t> ids,
-                      std::span<nn::Module* const> nets, std::vector<StaleUpdate>& stale,
-                      std::vector<double>& stale_weights, std::size_t max_members);
+  /// hold only the entries that were fused.  Teacher logits are computed on
+  /// `threads`, one member per task, and charged to the owner's memory budget
+  /// (client-state category) until the step returns.  The student is left
+  /// untouched when screening rejects everything.  Throws std::logic_error
+  /// on an empty server pool.
+  DistillOutcome fuse(utils::ThreadPool& threads, std::size_t round_index,
+                      std::span<const std::size_t> ids, std::span<nn::Module* const> nets,
+                      std::vector<StaleUpdate>& stale, std::vector<double>& stale_weights);
+
+  /// The same screening and cap as fuse(), then the shard-weighted mean of
+  /// the survivors into the student instead of distillation.  Reputation
+  /// needs only the probe rows of the teacher logits (none on an empty
+  /// server pool, which skips the observation).
+  DistillOutcome average(utils::ThreadPool& threads, std::span<const std::size_t> ids,
+                         std::span<nn::Module* const> nets, std::vector<StaleUpdate>& stale,
+                         std::vector<double>& stale_weights);
 
   nn::Sgd& optimizer() { return *optimizer_; }
   const ReputationTracker* reputation() const { return reputation_.get(); }
@@ -90,12 +108,34 @@ class EnsembleDistiller {
   void load_reputation(core::ByteReader& reader);
 
  private:
-  /// Sanitation, then (with a tracker) the exclusion bar; returns the
-  /// accepted positions into `nets`.  With a `probe`, reputation first
-  /// records each sanitized member's argmax agreement with the ensemble.
-  std::vector<std::size_t> screen(std::span<nn::Module* const> nets,
-                                  std::span<const std::size_t> clients, const core::Tensor* probe,
-                                  std::size_t& rejected);
+  class TeacherLogits;
+
+  /// The members a fusion step keeps after screening and the cap.
+  struct Cohort {
+    /// Kept fresh members: positions into the step's nets, those nets and
+    /// their client ids.
+    std::vector<std::size_t> fresh;
+    std::vector<nn::Module*> fresh_nets;
+    std::vector<std::size_t> fresh_ids;
+    /// Scratch nets of the kept stale entries, in the same order.
+    std::vector<std::unique_ptr<nn::Module>> stale_nets;
+  };
+
+  /// Screening and the cap; `stale` / `stale_weights` keep only the fused
+  /// entries.  With a tracker, the sanitized fresh members' logits over the
+  /// first `cache_rows` pool rows are computed into `cache` (slot =
+  /// position) and the probe reads their leading rows.
+  Cohort screen(utils::ThreadPool& threads, std::span<const std::size_t> ids,
+                std::span<nn::Module* const> nets, std::vector<StaleUpdate>& stale,
+                std::vector<double>& stale_weights, std::size_t cache_rows, TeacherLogits& cache,
+                DistillOutcome& outcome);
+  /// Records each probed member's argmax agreement with the fused ensemble
+  /// on the leading `rows` rows of its cached logits.
+  void observe(std::span<const std::size_t> positions, std::span<const std::size_t> clients,
+               const TeacherLogits& cache, std::size_t rows);
+  /// Drops (and counts) positions whose client the tracker excludes.
+  void exclude(std::vector<std::size_t>& positions, std::span<const std::size_t> clients,
+               std::size_t& rejected) const;
   void warm_start(std::span<nn::Module* const> teachers, std::span<nn::Module* const> fresh,
                   std::span<const std::size_t> fresh_ids, std::span<const StaleUpdate> stale,
                   std::span<const double> stale_weights);
@@ -113,7 +153,7 @@ class EnsembleDistiller {
 
   Federation* federation_ = nullptr;
   nn::Module* student_ = nullptr;
-  obs::PhaseAccumulator* phases_ = nullptr;
+  Algorithm* owner_ = nullptr;
   std::unique_ptr<nn::Sgd> optimizer_;
   std::unique_ptr<ReputationTracker> reputation_;
 };

@@ -108,8 +108,10 @@ void FedAvg::on_client_evicted(std::size_t client_id) {
   s.staged.reset();
 }
 
-void FedAvg::aggregate(std::size_t round_index, std::span<const std::size_t> sampled) {
+void FedAvg::aggregate(std::size_t round_index, std::span<const std::size_t> sampled,
+                       utils::ThreadPool& pool) {
   (void)round_index;
+  (void)pool;
   obs::ScopedPhaseTimer fuse_timer(phases_, obs::Phase::kFuse);
   obs::TraceSpan span("fl.fuse");
   std::vector<nn::Module*> staged;
@@ -235,7 +237,7 @@ double FedAvg::round(std::size_t round_index, std::span<const std::size_t> sampl
   last_fusion_degraded_ =
       cap_fusion_members(max_fusion_members_, survivors, stale_updates_, stale_weights_);
   last_stale_applied_ = stale_updates_.size();
-  if (!survivors.empty() || !stale_updates_.empty()) aggregate(round_index, survivors);
+  if (!survivors.empty() || !stale_updates_.empty()) aggregate(round_index, survivors, pool);
 
   double loss_total = 0.0;
   std::size_t reported = 0;

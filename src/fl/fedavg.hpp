@@ -62,7 +62,8 @@ class FedAvg : public Algorithm {
   /// with a stale buffer installed, `stale_updates_` / `stale_weights_` hold
   /// the late uploads due this round and their staleness discounts, to be
   /// folded in alongside the fresh cohort.
-  virtual void aggregate(std::size_t round_index, std::span<const std::size_t> sampled);
+  virtual void aggregate(std::size_t round_index, std::span<const std::size_t> sampled,
+                         utils::ThreadPool& pool);
 
   /// Algorithm-specific payload a parked straggler needs to be applied in a
   /// later round.  Default records {steps, learning_rate} in scalars (what

@@ -14,7 +14,7 @@ FedDf::FedDf(models::ModelSpec spec, LocalTrainConfig local_config, FedDfOptions
 
 void FedDf::setup(Federation& federation) {
   FedAvg::setup(federation);
-  distiller_.setup(federation, global_model(), phases_);
+  distiller_.setup(federation, global_model(), *this);
   last_distill_loss_ = 0.0;
   last_rejected_ = 0;
 }
@@ -36,19 +36,20 @@ void FedDf::on_client_evicted(std::size_t client_id) {
   distiller_.forget(client_id);
 }
 
-void FedDf::aggregate(std::size_t round_index, std::span<const std::size_t> sampled) {
+void FedDf::aggregate(std::size_t round_index, std::span<const std::size_t> sampled,
+                      utils::ThreadPool& pool) {
   last_distill_loss_ = 0.0;
   last_rejected_ = 0;
   if (std::min(options_.distill_batch_size, federation().server_pool().dim(0)) == 0) {
-    FedAvg::aggregate(round_index, sampled);  // nothing to distill on
+    FedAvg::aggregate(round_index, sampled, pool);  // nothing to distill on
     return;
   }
   // FedAvg::round already capped the cohort, so the distiller's cap is a no-op.
   std::vector<nn::Module*> staged;
   staged.reserve(sampled.size());
   for (std::size_t id : sampled) staged.push_back(slots_.at(id).staged.get());
-  const DistillOutcome outcome = distiller_.fuse(round_index, sampled, staged, stale_updates_,
-                                                 stale_weights_, max_fusion_members_);
+  const DistillOutcome outcome =
+      distiller_.fuse(pool, round_index, sampled, staged, stale_updates_, stale_weights_);
   last_rejected_ = outcome.rejected;
   last_distill_loss_ = outcome.loss;
   last_stale_applied_ = stale_updates_.size();

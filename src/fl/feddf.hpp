@@ -51,7 +51,8 @@ class FedDf final : public FedAvg {
   void on_client_evicted(std::size_t client_id) override;
 
  protected:
-  void aggregate(std::size_t round_index, std::span<const std::size_t> sampled) override;
+  void aggregate(std::size_t round_index, std::span<const std::size_t> sampled,
+                 utils::ThreadPool& pool) override;
 
  private:
   FedDfOptions options_;

@@ -99,7 +99,9 @@ void Federation::build_local_test_sets() {
 
 core::Tensor gather_pool(const core::Tensor& pool, std::span<const std::size_t> rows) {
   const std::size_t sample_numel = pool.numel() / pool.dim(0);
-  core::Tensor out(core::Shape::nchw(rows.size(), pool.dim(1), pool.dim(2), pool.dim(3)));
+  core::Tensor out(pool.rank() == 2
+                       ? core::Shape::matrix(rows.size(), pool.dim(1))
+                       : core::Shape::nchw(rows.size(), pool.dim(1), pool.dim(2), pool.dim(3)));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::memcpy(out.data() + i * sample_numel, pool.data() + rows[i] * sample_numel,
                 sample_numel * sizeof(float));

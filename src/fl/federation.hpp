@@ -61,7 +61,8 @@ class Federation {
   comm::Channel channel_;
 };
 
-/// Gathers rows of an unlabeled [M, C, H, W] pool into a batch tensor.
+/// Gathers rows of an unlabeled [M, C, H, W] pool into a batch tensor; also
+/// the rows of a [M, K] matrix (per-row logits).
 core::Tensor gather_pool(const core::Tensor& pool, std::span<const std::size_t> rows);
 
 }  // namespace fedkemf::fl

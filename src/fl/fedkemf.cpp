@@ -97,7 +97,7 @@ void FedKemf::setup(Federation& federation) {
   federation_ = &federation;
   core::Rng init_rng = federation.root_rng().fork(0x6B4F5EEDULL);
   global_knowledge_ = models::build_model(options_.knowledge_spec, init_rng);
-  distiller_.setup(federation, *global_knowledge_, phases_);
+  distiller_.setup(federation, *global_knowledge_, *this);
   slots_.clear();
   slots_.resize(federation.num_clients());
   last_distill_loss_ = 0.0;
@@ -299,7 +299,7 @@ double FedKemf::round(std::size_t round_index, std::span<const std::size_t> samp
   }
 
   collect_due_stale(round_index);
-  if (!survivors.empty() || !stale_updates_.empty()) fuse(round_index, survivors);
+  if (!survivors.empty() || !stale_updates_.empty()) fuse(round_index, survivors, pool);
 
   double loss_total = 0.0;
   std::size_t reported = 0;
@@ -352,19 +352,16 @@ void FedKemf::on_client_evicted(std::size_t client_id) {
   distiller_.forget(client_id);
 }
 
-void FedKemf::fuse(std::size_t round_index, std::span<const std::size_t> survivors) {
+void FedKemf::fuse(std::size_t round_index, std::span<const std::size_t> survivors,
+                   utils::ThreadPool& pool) {
   std::vector<nn::Module*> staged;
   staged.reserve(survivors.size());
   for (std::size_t id : survivors) staged.push_back(slots_.at(id).staged.get());
-  if (options_.fuse_by_weight_average) {
-    obs::ScopedPhaseTimer timer(phases_, obs::Phase::kFuse);
-    obs::TraceSpan span("fl.fuse");
-    shard_weighted_mean_into(*global_knowledge_, staged, survivors, stale_updates_,
-                             stale_weights_, *federation_);
-    return;
-  }
-  const DistillOutcome outcome = distiller_.fuse(round_index, survivors, staged, stale_updates_,
-                                                 stale_weights_, max_fusion_members_);
+  const DistillOutcome outcome =
+      options_.fuse_by_weight_average
+          ? distiller_.average(pool, survivors, staged, stale_updates_, stale_weights_)
+          : distiller_.fuse(pool, round_index, survivors, staged, stale_updates_,
+                            stale_weights_);
   last_rejected_ = outcome.rejected;
   last_fusion_degraded_ = outcome.degraded;
   last_distill_loss_ = outcome.loss;

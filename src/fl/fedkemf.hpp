@@ -16,7 +16,8 @@
 // the paper's ablation) and distilled into the global knowledge network by
 // minimizing KL(ensemble || theta_g) on the unlabeled server pool.  The
 // alternative weight-average fusion mode the paper mentions is available via
-// FedKemfOptions::fuse_by_weight_average.
+// FedKemfOptions::fuse_by_weight_average; it keeps the distiller's
+// screening and fusion-member cap.
 
 #include <memory>
 #include <vector>
@@ -108,8 +109,10 @@ class FedKemf final : public Algorithm {
   /// (0 for an empty slot).
   std::size_t slot_state_bytes(Slot& s) const;
   /// Fuses the survivors' staged knowledge nets and the due late uploads
-  /// into the global knowledge net.
-  void fuse(std::size_t round_index, std::span<const std::size_t> survivors);
+  /// into the global knowledge net: distilled, or averaged in weight space
+  /// under fuse_by_weight_average, after the same screening and cap.
+  void fuse(std::size_t round_index, std::span<const std::size_t> survivors,
+            utils::ThreadPool& pool);
   double client_training_flops(std::size_t client_id, std::size_t round_index);
 
   std::vector<models::ModelSpec> arch_pool_;

@@ -42,8 +42,10 @@ void FedNova::after_local_update(std::size_t round_index, std::size_t client_id,
   }
 }
 
-void FedNova::aggregate(std::size_t round_index, std::span<const std::size_t> sampled) {
+void FedNova::aggregate(std::size_t round_index, std::span<const std::size_t> sampled,
+                        utils::ThreadPool& pool) {
   (void)round_index;
+  (void)pool;
   obs::ScopedPhaseTimer fuse_timer(phases_, obs::Phase::kFuse);
   obs::TraceSpan span("fl.fuse");
   Federation& fed = federation();

@@ -30,7 +30,8 @@ class FedNova final : public FedAvg {
  protected:
   void after_local_update(std::size_t round_index, std::size_t client_id, Slot& client_slot,
                           const LocalTrainResult& result) override;
-  void aggregate(std::size_t round_index, std::span<const std::size_t> sampled) override;
+  void aggregate(std::size_t round_index, std::span<const std::size_t> sampled,
+                 utils::ThreadPool& pool) override;
 
  private:
   bool ship_momentum_;

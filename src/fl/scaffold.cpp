@@ -160,8 +160,10 @@ void Scaffold::fill_stale_extras(std::size_t round_index, std::size_t client_id,
   }
 }
 
-void Scaffold::aggregate(std::size_t round_index, std::span<const std::size_t> sampled) {
+void Scaffold::aggregate(std::size_t round_index, std::span<const std::size_t> sampled,
+                         utils::ThreadPool& pool) {
   (void)round_index;
+  (void)pool;
   obs::ScopedPhaseTimer fuse_timer(phases_, obs::Phase::kFuse);
   obs::TraceSpan span("fl.fuse");
   Federation& fed = federation();

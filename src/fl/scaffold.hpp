@@ -39,7 +39,8 @@ class Scaffold final : public FedAvg {
   GradHook make_grad_hook(std::size_t client_id, nn::Module& client_model) override;
   void after_local_update(std::size_t round_index, std::size_t client_id, Slot& client_slot,
                           const LocalTrainResult& result) override;
-  void aggregate(std::size_t round_index, std::span<const std::size_t> sampled) override;
+  void aggregate(std::size_t round_index, std::span<const std::size_t> sampled,
+                 utils::ThreadPool& pool) override;
   /// Adds the control-variate payload a stale SCAFFOLD update needs: the
   /// client's uploaded delta c_i+ - c_i, plus the *server* control the client
   /// trained against (its local steps used g + c_origin - c_i, so applying
