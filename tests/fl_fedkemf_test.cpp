@@ -389,6 +389,71 @@ TEST(FedKemf, WeightAverageFusionModeRuns) {
   EXPECT_GT(result.best_accuracy, 0.25);
 }
 
+// Weight-average fusion keeps the distiller's screening and fusion cap.
+TEST(FedKemf, WeightAverageFusionKeepsTheDefensesAndTheCap) {
+  FederationOptions federation = tiny_federation();
+  federation.num_clients = 6;
+  auto run_with = [&](const FedKemfOptions& options, const RunOptions& run) {
+    Federation fed(federation);
+    FedKemf algorithm({tiny_spec()}, tiny_local(), options);
+    return run_federated(fed, algorithm, run);
+  };
+  FedKemfOptions options = tiny_kemf();
+  options.fuse_by_weight_average = true;
+  RunOptions run;
+  run.rounds = 3;
+  run.sample_ratio = 1.0;
+
+  RunOptions capped = run;
+  capped.resources = ResourceLimits{};
+  capped.resources->max_fusion_members = 2;
+  for (const RoundRecord& record : run_with(options, capped).history) {
+    EXPECT_TRUE(record.fusion_degraded) << "round " << record.round;
+  }
+
+  FedKemfOptions banded = options;
+  banded.sanitize.enabled = true;
+  banded.sanitize.max_norm_ratio = 1.0001;
+  std::size_t rejected = 0;
+  for (const RoundRecord& record : run_with(banded, run).history) {
+    rejected += record.rejected_updates;
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+// The teacher logits live for one fusion step: T x P x C floats (P = the
+// server pool) when distilling, T x batch x C (the reputation probe) in
+// weight-average mode.  Round 1 runs against a fresh budget, so the slots
+// charged in round 0 are not in it.
+TEST(MemoryBudget, TeacherLogitsAreChargedOnlyDuringFusion) {
+  const std::size_t pool_rows = tiny_federation().server_pool_samples;
+  const std::size_t clients = tiny_federation().num_clients;
+  const std::size_t batch = tiny_kemf().distill_batch_size;
+  const std::size_t classes = tiny_federation().data.num_classes;
+  const std::vector<std::size_t> sampled = {0, 1, 2, 3};
+  for (const bool weight_average : {false, true}) {
+    SCOPED_TRACE(weight_average ? "weight average + reputation" : "distill");
+    Federation fed(tiny_federation());
+    FedKemfOptions options = tiny_kemf();
+    options.fuse_by_weight_average = weight_average;
+    options.reputation.enabled = weight_average;
+    FedKemf algorithm({tiny_spec()}, tiny_local(), options);
+    algorithm.setup(fed);
+    utils::ThreadPool pool(2);
+    algorithm.round(0, sampled, pool);
+
+    core::MemoryBudget budget;
+    budget.charge(core::BudgetCategory::kUploads, 100);
+    algorithm.set_memory_budget(&budget);
+    algorithm.round(1, sampled, pool);
+    const std::size_t rows = weight_average ? batch : pool_rows;
+    EXPECT_EQ(budget.high_water_bytes(), 100 + clients * rows * classes * sizeof(float));
+    EXPECT_EQ(budget.used_bytes(core::BudgetCategory::kClientState), 0u);
+    EXPECT_EQ(budget.used_bytes(), 100u);
+    algorithm.set_memory_budget(nullptr);
+  }
+}
+
 class FedKemfEnsembles : public ::testing::TestWithParam<EnsembleStrategy> {};
 
 TEST_P(FedKemfEnsembles, AllStrategiesTrainAboveChance) {

@@ -3,10 +3,13 @@
 // paper's tables rest on.
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "comm/channel.hpp"
+#include "core/serialize.hpp"
 #include "fl/fedavg.hpp"
 #include "fl/feddf.hpp"
 #include "fl/fedkemf.hpp"
@@ -95,23 +98,29 @@ TEST(Integration, FedKemfThreadCountDeterminism) {
         return std::make_unique<FedDf>(mlp_spec(), local_config(), options);
       }};
   for (const MakeAlgorithm make : makers) {
-    auto run_with = [&](std::size_t threads) {
+    // The final global model's CRC pins every weight, not only the metrics.
+    auto run_with = [&](std::size_t threads, std::uint32_t& model_crc) {
       Federation fed(integration_federation());
       const std::unique_ptr<Algorithm> algorithm = make();
       RunOptions run;
       run.rounds = 3;
       run.sample_ratio = 0.5;
       run.num_threads = threads;
-      return run_federated(fed, *algorithm, run);
+      RunResult result = run_federated(fed, *algorithm, run);
+      model_crc = core::crc32(comm::serialize_model(algorithm->global_model()));
+      return result;
     };
-    const RunResult a = run_with(0);
-    const RunResult b = run_with(3);
+    std::uint32_t crc_a = 0;
+    std::uint32_t crc_b = 0;
+    const RunResult a = run_with(0, crc_a);
+    const RunResult b = run_with(3, crc_b);
     SCOPED_TRACE(a.algorithm);
     ASSERT_EQ(a.history.size(), b.history.size());
     for (std::size_t i = 0; i < a.history.size(); ++i) {
       EXPECT_DOUBLE_EQ(a.history[i].accuracy, b.history[i].accuracy);
       EXPECT_DOUBLE_EQ(a.history[i].train_loss, b.history[i].train_loss);
     }
+    EXPECT_EQ(crc_a, crc_b);
   }
 }
 

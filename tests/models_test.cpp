@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <ostream>
+#include <span>
 
 #include "core/rng.hpp"
 #include "models/zoo.hpp"
@@ -68,6 +71,66 @@ INSTANTIATE_TEST_SUITE_P(
                       ArchCase{"resnet20", 16, 0.25, 3}, ArchCase{"resnet32", 16, 0.25, 3},
                       ArchCase{"resnet44", 16, 0.25, 3}, ArchCase{"resnet20", 8, 0.25, 1},
                       ArchCase{"vgg11", 32, 0.25, 3}, ArchCase{"vgg11", 16, 0.125, 3}));
+
+// The server distiller computes each teacher's logits over the pool once, in
+// chunks of the distill batch, and gathers every batch's rows from that
+// cache.  That is exact only because an eval-mode forward is row-independent
+// bit for bit: a row's logits do not depend on which rows share its batch,
+// nor on the batch size.  Checked for every arch that can be a teacher, at
+// fedbench's shape (12x12x3, width 0.25, batch 32), with a pool that is not a
+// multiple of the batch so the last chunk and the last batch are partial.
+class TeacherRowIndependence : public ::testing::TestWithParam<const char*> {};
+
+Tensor gather_rows(const Tensor& images, std::span<const std::size_t> rows) {
+  const std::size_t row_numel = images.numel() / images.dim(0);
+  Tensor out(Shape::nchw(rows.size(), images.dim(1), images.dim(2), images.dim(3)));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::memcpy(out.data() + i * row_numel, images.data() + rows[i] * row_numel,
+                row_numel * sizeof(float));
+  }
+  return out;
+}
+
+TEST_P(TeacherRowIndependence, GatheredBatchEqualsChunkedPoolForwardBitwise) {
+  constexpr std::size_t kPool = 80;
+  constexpr std::size_t kBatch = 32;
+  Rng rng(7);
+  auto model = build_model(spec_of(GetParam(), 12, 0.25), rng);
+  // One training step first, so BatchNorm's running statistics are not the
+  // identity they start at.
+  model->forward(Tensor::normal(Shape::nchw(kBatch, 3, 12, 12), rng));
+  model->set_training(false);
+  const Tensor pool = Tensor::normal(Shape::nchw(kPool, 3, 12, 12), rng);
+
+  std::vector<std::size_t> rows(kPool);
+  for (std::size_t i = 0; i < kPool; ++i) rows[i] = i;
+  std::vector<Tensor> chunks;
+  for (std::size_t start = 0; start < kPool; start += kBatch) {
+    const std::size_t count = std::min(kBatch, kPool - start);
+    chunks.push_back(model->forward(gather_rows(pool, {rows.data() + start, count})));
+  }
+  const std::size_t classes = chunks.front().dim(1);
+
+  const std::vector<std::size_t> order = rng.permutation(kPool);
+  ASSERT_FALSE(std::is_sorted(order.begin(), order.end()));
+  for (std::size_t start = 0; start < kPool; start += kBatch) {
+    const std::size_t count = std::min(kBatch, kPool - start);
+    const Tensor batch = model->forward(gather_rows(pool, {order.data() + start, count}));
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t row = order[start + i];
+      const float* cached = chunks[row / kBatch].data() + (row % kBatch) * classes;
+      EXPECT_EQ(std::memcmp(batch.data() + i * classes, cached, classes * sizeof(float)), 0)
+          << "pool row " << row << " at batch position " << start + i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, TeacherRowIndependence,
+                         ::testing::Values("cnn2", "vgg11", "resnet20", "resnet32", "resnet44",
+                                           "mlp"),
+                         [](const ::testing::TestParamInfo<const char*>& param_info) {
+                           return std::string(param_info.param);
+                         });
 
 TEST(ModelZoo, FullWidthParameterCountsMatchLiterature) {
   // Published CIFAR-10 counts: ResNet-20 ~0.27M, ResNet-32 ~0.46M,

@@ -6,7 +6,9 @@
 // model, against goldens stored as hex floats.  The configurations cover the
 // server fusion paths: reputation-weighted avg-logits with late uploads,
 // trimmed mean under a sign-flip minority, the fusion-member cap, and
-// FedKEMF's weight-average fusion with late uploads.
+// FedKEMF's weight-average fusion with late uploads.  Every configuration
+// runs inline and on a 3-thread pool, against the same goldens: the
+// distiller's teacher logits are computed on the client pool.
 //
 // GCC contracts a*b+c into fused multiply-adds only when the target has FMA,
 // so a native build on an FMA host and a portable x86-64 build produce
@@ -257,52 +259,55 @@ TEST(ServerFusionPin, FedKemfAndFedDfTrajectoriesMatchGoldens) {
   bool any_stale = false;
   bool any_degraded = false;
   bool any_rejected = false;
-  for (PinConfig& config : pin_configs()) {
-    SCOPED_TRACE(config.name);
-    Federation fed(pin_federation());
-    const RunResult result = run_federated(fed, *config.algorithm, config.run);
-    ASSERT_EQ(result.history.size(), kRounds);
-    const std::uint32_t crc =
-        core::crc32(comm::serialize_model(config.algorithm->global_model()));
-    observed += golden_line(config.name, result, crc);
+  for (const std::size_t threads : {0u, 3u}) {
+    for (PinConfig& config : pin_configs()) {
+      SCOPED_TRACE(config.name + " threads=" + std::to_string(threads));
+      Federation fed(pin_federation());
+      config.run.num_threads = threads;
+      const RunResult result = run_federated(fed, *config.algorithm, config.run);
+      ASSERT_EQ(result.history.size(), kRounds);
+      const std::uint32_t crc =
+          core::crc32(comm::serialize_model(config.algorithm->global_model()));
+      if (threads == 0) observed += golden_line(config.name, result, crc);
 
-    bool stale = false;
-    bool degraded = false;
-    bool rejected = false;
-    for (const RoundRecord& record : result.history) {
-      stale = stale || record.stale_applied > 0;
-      degraded = degraded || record.fusion_degraded;
-      rejected = rejected || record.rejected_updates > 0;
-    }
-    // Each configuration must really take the path it is named for.
-    // The capped runs shed every late upload: two fresh members fill the cap.
-    if (config.run.resources) {
-      EXPECT_TRUE(degraded) << "the fusion cap never shed";
-    } else if (config.run.staleness) {
-      EXPECT_TRUE(stale) << "no late upload was applied";
-    }
-    if (config.run.sim && config.run.sim->adversary.any()) {
-      EXPECT_TRUE(rejected) << "no upload was rejected";
-    }
-    any_stale = any_stale || stale;
-    any_degraded = any_degraded || degraded;
-    any_rejected = any_rejected || rejected;
+      bool stale = false;
+      bool degraded = false;
+      bool rejected = false;
+      for (const RoundRecord& record : result.history) {
+        stale = stale || record.stale_applied > 0;
+        degraded = degraded || record.fusion_degraded;
+        rejected = rejected || record.rejected_updates > 0;
+      }
+      // Each configuration must really take the path it is named for.
+      // The capped runs shed every late upload: two fresh members fill the cap.
+      if (config.run.resources) {
+        EXPECT_TRUE(degraded) << "the fusion cap never shed";
+      } else if (config.run.staleness) {
+        EXPECT_TRUE(stale) << "no late upload was applied";
+      }
+      if (config.run.sim && config.run.sim->adversary.any()) {
+        EXPECT_TRUE(rejected) << "no upload was rejected";
+      }
+      any_stale = any_stale || stale;
+      any_degraded = any_degraded || degraded;
+      any_rejected = any_rejected || rejected;
 
-    const PinnedRun* golden = find_golden(config.name);
-    if (golden == nullptr) {
-      ADD_FAILURE() << "no golden for " << config.name;
-      continue;
+      const PinnedRun* golden = find_golden(config.name);
+      if (golden == nullptr) {
+        ADD_FAILURE() << "no golden for " << config.name;
+        continue;
+      }
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        const RoundRecord& record = result.history[r];
+        const PinnedRound& want = golden->rounds[r];
+        EXPECT_EQ(record.accuracy, want.accuracy) << "round " << r;
+        EXPECT_EQ(record.train_loss, want.train_loss) << "round " << r;
+        EXPECT_EQ(record.rejected_updates, want.rejected_updates) << "round " << r;
+        EXPECT_EQ(record.stale_applied, want.stale_applied) << "round " << r;
+        EXPECT_EQ(record.fusion_degraded, want.fusion_degraded) << "round " << r;
+      }
+      EXPECT_EQ(crc, golden->model_crc);
     }
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      const RoundRecord& record = result.history[r];
-      const PinnedRound& want = golden->rounds[r];
-      EXPECT_EQ(record.accuracy, want.accuracy) << "round " << r;
-      EXPECT_EQ(record.train_loss, want.train_loss) << "round " << r;
-      EXPECT_EQ(record.rejected_updates, want.rejected_updates) << "round " << r;
-      EXPECT_EQ(record.stale_applied, want.stale_applied) << "round " << r;
-      EXPECT_EQ(record.fusion_degraded, want.fusion_degraded) << "round " << r;
-    }
-    EXPECT_EQ(crc, golden->model_crc);
   }
   EXPECT_TRUE(any_stale);
   EXPECT_TRUE(any_degraded);
