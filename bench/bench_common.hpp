@@ -1,16 +1,16 @@
 #pragma once
 
-// Shared scaffolding for the paper-reproduction bench harnesses.
+// Shared scaffolding for the bench harnesses.
 //
-// Every bench binary reproduces one table or figure of the paper.  Because
-// the paper's testbed (GPU cluster, full-width models, 200 rounds) does not
-// fit a single CPU core, each bench runs a *scaled* configuration by default
-// (smaller synthetic images, width-multiplied models, fewer rounds) and
-// prints the same rows/series the paper reports.  The `--scale full` flag
-// switches to paper-scale parameters for users with the compute budget.
-// Byte columns always reflect the *full-width* models: the per-round payload
-// is measured by serializing a genuinely full-width instance, so the
-// communication factors match the paper's regime even in scaled runs.
+// bench_paper reproduces the paper's tables and figures.  Because the
+// paper's testbed (GPU cluster, full-width models, 200 rounds) does not fit a
+// small CPU budget, the benches run a *scaled* configuration by default
+// (smaller synthetic images, width-multiplied models, fewer rounds).  The
+// `--scale full` flag switches to paper-scale parameters for users with the
+// compute budget.  Analytic byte columns always reflect the *full-width*
+// models: the per-round payload is measured by serializing a genuinely
+// full-width instance, so the communication factors match the paper's regime
+// even in scaled runs.
 
 #include <cstdio>
 #include <filesystem>
@@ -126,8 +126,9 @@ inline fl::FedKemfOptions default_kemf(const models::ModelSpec& knowledge_spec) 
   options.knowledge_spec = knowledge_spec;
   // The paper "adopt[s] the max logits as the ensemble strategy since the max
   // logits get the best results in practice"; on this synthetic substrate the
-  // empirically best strategy is average logits (see bench_ablation_ensemble),
-  // so the same pick-the-best-in-practice methodology selects kAvgLogits here.
+  // empirically best strategy is average logits (bench_paper's
+  // ablation-ensemble), so the same pick-the-best-in-practice methodology
+  // selects kAvgLogits here.
   options.ensemble = fl::EnsembleStrategy::kAvgLogits;
   options.distill_temperature = 2.0f;
   options.distill_epochs = 2;
@@ -186,6 +187,8 @@ inline std::string algorithm_label(const std::string& name) {
   if (name == "fednova") return "FedNova";
   if (name == "scaffold") return "SCAFFOLD";
   if (name == "fedkemf") return "FedKEMF";
+  if (name == "feddf") return "FedDF";
+  if (name == "fedmd") return "FedMD";
   return name;
 }
 

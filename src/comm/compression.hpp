@@ -11,7 +11,7 @@
 //           4x smaller; adequate for knowledge-network exchange because the
 //           ensemble-distillation server consumes *logits*, which are robust
 //           to small weight perturbations (ablated in
-//           bench_ablation_compression).
+//           bench_paper --only ablation-compression).
 //
 // Encoded format (version 2): [magic u32 = 0xFEDC0DE6][version u32 = 2]
 // [crc32 u32][codec u8][tensor_count u32] then per tensor: rank/dims/numel

@@ -168,7 +168,7 @@ struct FedKemfOptions {
   bool fuse_by_weight_average = false;      ///< paper's alternative fusion mode
   /// Wire codec for the knowledge-network exchange (fp32 = lossless; fp16 /
   /// int8 quantization trade accuracy for a further 2x / 4x traffic cut —
-  /// ablated in bench_ablation_compression).
+  /// ablated in bench_paper --only ablation-compression).
   comm::Codec payload_codec = comm::Codec::kFp32;
   /// Pre-aggregation upload sanitation (NaN/Inf + norm-band screening).
   SanitizeOptions sanitize;

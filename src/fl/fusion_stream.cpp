@@ -39,13 +39,4 @@ void StreamingWeightedSum::finalize() {
   nn::restore_state(target_, accumulator_);
 }
 
-bool FusionReservoir::offer(std::vector<core::Tensor> state) {
-  if (capacity_ != 0 && members_.size() >= capacity_) {
-    ++dropped_;
-    return false;
-  }
-  members_.push_back(std::move(state));
-  return true;
-}
-
 }  // namespace fedkemf::fl

@@ -12,11 +12,9 @@
 // implemented on top of it.
 //
 // Order statistics (trimmed mean / median) are not streamable: they need all
-// member values per coordinate.  FusionReservoir is the graceful-degradation
-// fallback — it retains the first `capacity` members in arrival (canonical)
-// order and drops the rest, counting them, so a bounded server computes the
-// exact statistic over a deterministic subset instead of crashing.  A
-// reservoir that dropped members marks the round `degraded` in RoundRecord.
+// member values per coordinate.  Bounding them is the fusion-member cap's job
+// (cap_fusion_members in fl/algorithm.hpp sheds members beyond
+// ResourceLimits::max_fusion_members and marks the round degraded).
 
 #include <cstddef>
 #include <vector>
@@ -57,30 +55,6 @@ class StreamingWeightedSum {
   std::vector<core::Tensor> accumulator_;
   std::size_t members_ = 0;
   bool finalized_ = false;
-};
-
-/// Bounded holder for fusion members of non-streamable statistics.  Keeps the
-/// first `capacity` offered snapshots (capacity 0 = unbounded) in arrival
-/// order; later offers are dropped and counted.  Deterministic by
-/// construction: same offer order -> same kept set.
-class FusionReservoir {
- public:
-  explicit FusionReservoir(std::size_t capacity) : capacity_(capacity) {}
-
-  /// Takes ownership of `state` when kept; returns false (and counts the
-  /// drop) when the reservoir is full.
-  bool offer(std::vector<core::Tensor> state);
-
-  const std::vector<std::vector<core::Tensor>>& members() const { return members_; }
-  std::size_t dropped() const { return dropped_; }
-  /// True when at least one member was shed — the statistic downstream is
-  /// exact over a subset, i.e. the round ran degraded.
-  bool degraded() const { return dropped_ > 0; }
-
- private:
-  std::size_t capacity_;
-  std::vector<std::vector<core::Tensor>> members_;
-  std::size_t dropped_ = 0;
 };
 
 }  // namespace fedkemf::fl

@@ -28,8 +28,9 @@
 // upload that was parked but never consumed before a crash is simply
 // re-trained: the resumed round re-TASKs its reconnecting client.
 //
-// Record framing mirrors the wire protocol: [magic u32][crc32 u32]
-// [length u32][payload], CRC over the payload, so a torn tail, a truncation,
+// Record framing: [magic u32][crc32 u32][length u32][payload], CRC over the
+// payload.  The fields are those of a wire frame (net/frame.hpp) in another
+// order: a frame puts the length before the CRC.  A torn tail, a truncation
 // or a bit flip is *detected* — replay stops at the last valid record (one
 // interval lost, never a crash or silent corruption), exactly the checkpoint
 // container's contract.  Opening an existing log truncates the torn tail

@@ -129,13 +129,6 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   if (first_error) std::rethrow_exception(first_error);
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(std::thread::hardware_concurrency() > 1
-                             ? std::thread::hardware_concurrency()
-                             : 0);
-  return pool;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     QueuedTask task;

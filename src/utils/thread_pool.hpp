@@ -42,9 +42,6 @@ class ThreadPool {
   /// wins; the rest are dropped).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Pool sized from the hardware, shared by the whole process.
-  static ThreadPool& global();
-
  private:
   /// Queue entry: the task plus its enqueue stamp, so the pool can report
   /// queue-wait latency (obs histogram "pool.task_wait_seconds").

@@ -13,6 +13,7 @@
 #include "comm/compression.hpp"
 #include "comm/model_io.hpp"
 #include "core/rng.hpp"
+#include "core/serialize.hpp"
 #include "models/zoo.hpp"
 #include "nn/linear.hpp"
 
@@ -149,9 +150,18 @@ TEST(ModelCodec, RejectsCorruptPayloads) {
   payload[0] ^= 0xFF;  // magic
   EXPECT_THROW(decode_model(payload, *model), std::runtime_error);
 
+  // v2 layout: magic, version, CRC32 over bytes [12, end), codec byte at 12.
+  // Re-seal the CRC so the decoder gets past the checksum to the codec check.
   payload = encode_model(*model, Codec::kFp16);
-  payload[8] = 99;  // codec byte
-  EXPECT_THROW(decode_model(payload, *model), std::runtime_error);
+  payload[12] = 99;
+  const std::uint32_t crc = core::crc32(std::span<const std::uint8_t>(payload).subspan(12));
+  for (int i = 0; i < 4; ++i) payload[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  try {
+    decode_model(payload, *model);
+    ADD_FAILURE() << "a payload with an unknown codec decoded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "decode_model: unknown codec");
+  }
 
   payload = encode_model(*model, Codec::kFp16);
   payload.pop_back();  // truncate

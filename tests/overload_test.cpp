@@ -146,33 +146,6 @@ TEST(StreamingWeightedSum, FinalizeWithoutMembersThrows) {
   EXPECT_THROW(sum.finalize(), std::logic_error);
 }
 
-// ---- fl::FusionReservoir ----
-
-std::vector<core::Tensor> filled_state(float value) {
-  core::Tensor t(core::Shape{{2, 2}});
-  t.fill(value);
-  return {t};
-}
-
-TEST(FusionReservoir, KeepsTheFirstCapacityMembersAndCountsDrops) {
-  fl::FusionReservoir reservoir(2);
-  EXPECT_TRUE(reservoir.offer(filled_state(1.0f)));
-  EXPECT_TRUE(reservoir.offer(filled_state(2.0f)));
-  EXPECT_FALSE(reservoir.offer(filled_state(3.0f)));
-  ASSERT_EQ(reservoir.members().size(), 2u);
-  EXPECT_EQ(reservoir.members()[0][0].data()[0], 1.0f);
-  EXPECT_EQ(reservoir.members()[1][0].data()[0], 2.0f);
-  EXPECT_EQ(reservoir.dropped(), 1u);
-  EXPECT_TRUE(reservoir.degraded());
-}
-
-TEST(FusionReservoir, CapacityZeroIsUnbounded) {
-  fl::FusionReservoir reservoir(0);
-  for (int i = 0; i < 64; ++i) EXPECT_TRUE(reservoir.offer(filled_state(1.0f)));
-  EXPECT_EQ(reservoir.members().size(), 64u);
-  EXPECT_FALSE(reservoir.degraded());
-}
-
 // ---- fl::SpillStore ----
 
 TEST(SpillStore, StoreTakeRoundTripIsSingleUse) {

@@ -10,9 +10,8 @@
 // runs inline and on a 3-thread pool, against the same goldens: the
 // distiller's teacher logits are computed on the client pool.
 //
-// GCC contracts a*b+c into fused multiply-adds only when the target has FMA,
-// so a native build on an FMA host and a portable x86-64 build produce
-// different low bits.  Both sets are kept; __FMA__ picks the matching one.
+// The build compiles with -ffp-contract=off, so a native build on an FMA host
+// and a portable x86-64 build compute the same bits and share one golden set.
 // On a mismatch the test prints the observed table in the golden format.
 
 #include <array>
@@ -51,33 +50,6 @@ struct PinnedRun {
 };
 
 // clang-format off
-#ifdef __FMA__
-constexpr const char* kGoldenSet = "__FMA__";
-constexpr PinnedRun kGolden[] = {
-    {"kemf_avg_reputation_stale", {{{0x1.2aaaaaaaaaaabp-2, 0x1.8a9c54c888888p+0, 1, 0, false},
-        {0x1.5555555555555p-2, 0x1.b722e3f777778p+0, 1, 2, false},
-        {0x1.4p-2, 0x1.d311ecf333333p-1, 1, 2, false}}}, 0x4ebc39f3},
-    {"kemf_trimmed_sign_flip", {{{0x1.eaaaaaaaaaaabp-3, 0x1.46fac9dcccccdp+1, 2, 0, false},
-        {0x1.0aaaaaaaaaaabp-2, 0x1.cd837aaeeeefp+0, 3, 0, false},
-        {0x1.1555555555555p-2, 0x1.c912189555555p-1, 3, 0, false}}}, 0x99829d5f},
-    {"kemf_max_capped", {{{0x1.5555555555555p-2, 0x1.8a9c54c888888p+0, 0, 0, true},
-        {0x1.ap-2, 0x1.88b44e0888888p+0, 0, 0, true},
-        {0x1.cp-2, 0x1.c52da6d555555p-1, 0, 0, true}}}, 0x81cceacf},
-    {"kemf_weight_average_stale", {{{0x1.5555555555555p-2, 0x1.8a9c54c888888p+0, 0, 0, false},
-        {0x1.0aaaaaaaaaaabp-1, 0x1.abc08e8888888p+0, 0, 2, false},
-        {0x1.f555555555555p-2, 0x1.9462e04444444p-1, 0, 2, false}}}, 0x76b020c1},
-    {"df_avg_reputation_stale", {{{0x1.2p-2, 0x1.ff8e05fbbbbbbp-1, 1, 0, false},
-        {0x1.ep-2, 0x1.52b18dp+0, 1, 2, false},
-        {0x1.b555555555555p-2, 0x1.a3e0fd8bbbbbbp-1, 1, 2, false}}}, 0x41d54ea4},
-    {"df_trimmed_sign_flip", {{{0x1.d555555555555p-3, 0x1.c71e23ed27d28p+0, 3, 0, false},
-        {0x1p-2, 0x1.cb2f179a4fa5p-1, 3, 0, false},
-        {0x1.eaaaaaaaaaaabp-3, 0x1.2be216b95dddep+0, 3, 0, false}}}, 0xc8c191df},
-    {"df_max_capped", {{{0x1.4aaaaaaaaaaabp-2, 0x1.ff8e05fbbbbbbp-1, 0, 0, true},
-        {0x1.6aaaaaaaaaaabp-2, 0x1.fcc59f4222223p-1, 0, 0, true},
-        {0x1.d555555555555p-2, 0x1.f351a2d0aaaabp-1, 0, 0, true}}}, 0x1d4070ac},
-};
-#else
-constexpr const char* kGoldenSet = "no __FMA__";
 constexpr PinnedRun kGolden[] = {
     {"kemf_avg_reputation_stale", {{{0x1.2aaaaaaaaaaabp-2, 0x1.8a9c551666667p+0, 1, 0, false},
         {0x1.5555555555555p-2, 0x1.b722e47555555p+0, 1, 2, false},
@@ -101,7 +73,6 @@ constexpr PinnedRun kGolden[] = {
         {0x1.6aaaaaaaaaaabp-2, 0x1.fcc59cd333333p-1, 0, 0, true},
         {0x1.d555555555555p-2, 0x1.f351a01822223p-1, 0, 0, true}}}, 0xd1964426},
 };
-#endif
 // clang-format on
 
 FederationOptions pin_federation() {
@@ -313,7 +284,7 @@ TEST(ServerFusionPin, FedKemfAndFedDfTrajectoriesMatchGoldens) {
   EXPECT_TRUE(any_degraded);
   EXPECT_TRUE(any_rejected);
   if (HasFailure()) {
-    std::printf("observed (%s):\n%s", kGoldenSet, observed.c_str());
+    std::printf("observed:\n%s", observed.c_str());
   }
 }
 
