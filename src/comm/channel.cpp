@@ -1,6 +1,5 @@
 #include "comm/channel.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "comm/compression.hpp"
@@ -12,12 +11,6 @@
 namespace fedkemf::comm {
 
 namespace {
-
-std::string hex_u32(std::uint32_t v) {
-  char buffer[11];
-  std::snprintf(buffer, sizeof(buffer), "0x%08X", v);
-  return buffer;
-}
 
 /// Cached instrument references — deliver() sits on every wire transfer.
 struct CommMetrics {
@@ -49,50 +42,19 @@ struct CommMetrics {
 }  // namespace
 
 std::vector<std::uint8_t> serialize_model(nn::Module& model) {
-  core::ByteWriter writer;
-  writer.write_u32(kModelMagic);
-  writer.write_u32(kModelVersion);
-  writer.write_u32(0);  // checksum placeholder, patched below
+  core::ByteWriter writer = core::begin_record();
   const auto params = model.parameters();
   const auto buffers = model.buffers();
   writer.write_u32(static_cast<std::uint32_t>(params.size() + buffers.size()));
   for (nn::Parameter* p : params) core::write_tensor(writer, p->value);
   for (nn::Buffer* b : buffers) core::write_tensor(writer, b->value);
   std::vector<std::uint8_t> payload = writer.take();
-  // CRC covers everything after the checksum field (count + tensors).
-  const std::uint32_t crc =
-      core::crc32(std::span<const std::uint8_t>(payload).subspan(12));
-  for (int i = 0; i < 4; ++i) payload[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  core::seal_record(payload, kModelMagic, kModelVersion);
   return payload;
 }
 
 void deserialize_model(std::span<const std::uint8_t> payload, nn::Module& model) {
-  core::ByteReader reader(payload);
-  std::size_t offset = reader.position();
-  const std::uint32_t magic = reader.read_u32();
-  if (magic != kModelMagic) {
-    throw ChecksumError("deserialize_model: bad magic at offset " +
-                        std::to_string(offset) + " (expected " + hex_u32(kModelMagic) +
-                        ", got " + hex_u32(magic) + ")");
-  }
-  offset = reader.position();
-  const std::uint32_t version = reader.read_u32();
-  if (version != 1 && version != kModelVersion) {
-    throw std::runtime_error("deserialize_model: unsupported version at offset " +
-                             std::to_string(offset) + " (expected 1 or " +
-                             std::to_string(kModelVersion) + ", got " +
-                             std::to_string(version) + ")");
-  }
-  if (version >= 2) {
-    offset = reader.position();
-    const std::uint32_t expected_crc = reader.read_u32();
-    const std::uint32_t actual_crc = core::crc32(payload.subspan(reader.position()));
-    if (expected_crc != actual_crc) {
-      throw ChecksumError("deserialize_model: checksum mismatch at offset " +
-                          std::to_string(offset) + " (expected " + hex_u32(expected_crc) +
-                          ", got " + hex_u32(actual_crc) + ")");
-    }
-  }
+  core::ByteReader reader(core::open_record(payload, kModelRecord));
   const std::uint32_t count = reader.read_u32();
   const auto params = model.parameters();
   const auto buffers = model.buffers();
@@ -102,10 +64,10 @@ void deserialize_model(std::span<const std::uint8_t> payload, nn::Module& model)
                                 std::to_string(params.size() + buffers.size()) + ")");
   }
   for (nn::Parameter* p : params) {
-    offset = reader.position();
+    const std::size_t offset = reader.position();
     core::Tensor t = core::read_tensor(reader);
     if (t.shape() != p->value.shape()) {
-      throw std::invalid_argument("deserialize_model: parameter shape mismatch at offset " +
+      throw std::invalid_argument("deserialize_model: parameter shape mismatch at body offset " +
                                   std::to_string(offset) + " (" + t.shape().to_string() +
                                   " vs " + p->value.shape().to_string() + ")");
     }
@@ -113,10 +75,10 @@ void deserialize_model(std::span<const std::uint8_t> payload, nn::Module& model)
     p->grad = core::Tensor::zeros(p->value.shape());
   }
   for (nn::Buffer* b : buffers) {
-    offset = reader.position();
+    const std::size_t offset = reader.position();
     core::Tensor t = core::read_tensor(reader);
     if (t.shape() != b->value.shape()) {
-      throw std::invalid_argument("deserialize_model: buffer shape mismatch at offset " +
+      throw std::invalid_argument("deserialize_model: buffer shape mismatch at body offset " +
                                   std::to_string(offset) + " (" + t.shape().to_string() +
                                   " vs " + b->value.shape().to_string() + ")");
     }
@@ -124,13 +86,13 @@ void deserialize_model(std::span<const std::uint8_t> payload, nn::Module& model)
   }
   if (!reader.exhausted()) {
     throw std::runtime_error("deserialize_model: " + std::to_string(reader.remaining()) +
-                             " trailing bytes at offset " +
+                             " trailing bytes at body offset " +
                              std::to_string(reader.position()));
   }
 }
 
 std::size_t model_wire_size(nn::Module& model) {
-  std::size_t total = 16;  // magic + version + crc32 + count
+  std::size_t total = core::kRecordHeaderBytes + 4;  // header + tensor count
   for (nn::Parameter* p : model.parameters()) total += core::tensor_wire_size(p->value);
   for (nn::Buffer* b : model.buffers()) total += core::tensor_wire_size(b->value);
   return total;

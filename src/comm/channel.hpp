@@ -25,19 +25,18 @@
 #include <string>
 #include <vector>
 
+#include "core/record.hpp"
 #include "nn/module.hpp"
 
 namespace fedkemf::comm {
 
 // ---- Model wire format ----
-// Version 2 (current):
+// A framed record (core/record.hpp) of version 2:
 //   [magic u32 = 0xFEDC0DE5] [version u32 = 2] [crc32 u32] [tensor_count u32]
 //   tensors...
 // The crc32 covers every byte after the checksum field (tensor_count +
 // tensors), so any bit flip in the body — or in the checksum itself — is
 // detected on deserialization.
-// Version 1 (legacy, still readable):
-//   [magic u32] [version u32 = 1] [tensor_count u32] tensors...
 // Tensor order: parameters in module order, then buffers in module order —
 // the same deterministic order Module::parameters()/buffers() guarantees.
 
@@ -51,6 +50,11 @@ class ChecksumError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The model wire format's header: every header or CRC failure is a
+/// ChecksumError.
+inline constexpr core::RecordFormat kModelRecord{"model", kModelMagic, kModelVersion, 0,
+                                                 core::throw_error<ChecksumError>};
+
 /// A transfer was abandoned after exhausting its retry budget (every attempt
 /// was dropped or corrupted in flight).
 class TransferFailed : public std::runtime_error {
@@ -61,10 +65,10 @@ class TransferFailed : public std::runtime_error {
 /// Serializes parameters + buffers of `model` (wire format version 2).
 std::vector<std::uint8_t> serialize_model(nn::Module& model);
 
-/// Loads a payload produced by serialize_model — version 2 or legacy
-/// version 1 — into `model` (architectures must match; throws ChecksumError
-/// on integrity failures, std::runtime_error on malformed payloads and
-/// std::invalid_argument on shape mismatches).
+/// Loads a payload produced by serialize_model into `model` (architectures
+/// must match; throws ChecksumError on header and integrity failures,
+/// std::runtime_error on malformed payloads and std::invalid_argument on
+/// shape mismatches).
 void deserialize_model(std::span<const std::uint8_t> payload, nn::Module& model);
 
 /// Exact number of bytes serialize_model would produce.

@@ -5,10 +5,14 @@
 #include <stdexcept>
 
 #include "comm/channel.hpp"  // ChecksumError
-#include "core/serialize.hpp"
+#include "core/record.hpp"
 
 namespace fedkemf::comm {
 namespace {
+
+/// Version 2; every header or CRC failure is a ChecksumError.
+constexpr core::RecordFormat kCompressedRecord{"compressed model", kCompressedMagic, 2, 0,
+                                               core::throw_error<ChecksumError>};
 
 void write_tensor_header(core::ByteWriter& writer, const core::Tensor& tensor) {
   writer.write_u8(static_cast<std::uint8_t>(tensor.rank()));
@@ -176,10 +180,7 @@ float half_to_float(std::uint16_t half_bits) {
 }
 
 std::vector<std::uint8_t> encode_model(nn::Module& model, Codec codec) {
-  core::ByteWriter writer;
-  writer.write_u32(kCompressedMagic);
-  writer.write_u32(2);  // version
-  writer.write_u32(0);  // checksum placeholder, patched below
+  core::ByteWriter writer = core::begin_record();
   writer.write_u8(static_cast<std::uint8_t>(codec));
   const auto params = model.parameters();
   const auto buffers = model.buffers();
@@ -187,31 +188,12 @@ std::vector<std::uint8_t> encode_model(nn::Module& model, Codec codec) {
   for (nn::Parameter* p : params) encode_tensor(writer, p->value, codec);
   for (nn::Buffer* b : buffers) encode_tensor(writer, b->value, codec);
   std::vector<std::uint8_t> payload = writer.take();
-  const std::uint32_t crc =
-      core::crc32(std::span<const std::uint8_t>(payload).subspan(12));
-  for (int i = 0; i < 4; ++i) payload[8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  core::seal_record(payload, kCompressedMagic, kCompressedRecord.version);
   return payload;
 }
 
 void decode_model(std::span<const std::uint8_t> payload, nn::Module& model) {
-  core::ByteReader reader(payload);
-  if (reader.read_u32() != kCompressedMagic) {
-    throw ChecksumError("decode_model: bad magic");
-  }
-  const std::uint32_t version = reader.read_u32();
-  if (version != 1 && version != 2) {
-    throw std::runtime_error("decode_model: unsupported version " +
-                             std::to_string(version));
-  }
-  if (version >= 2) {
-    const std::uint32_t expected_crc = reader.read_u32();
-    const std::uint32_t actual_crc = core::crc32(payload.subspan(reader.position()));
-    if (expected_crc != actual_crc) {
-      throw ChecksumError("decode_model: checksum mismatch (expected " +
-                          std::to_string(expected_crc) + ", got " +
-                          std::to_string(actual_crc) + ")");
-    }
-  }
+  core::ByteReader reader(core::open_record(payload, kCompressedRecord));
   const std::uint8_t codec_raw = reader.read_u8();
   if (codec_raw > static_cast<std::uint8_t>(Codec::kInt8)) {
     throw std::runtime_error("decode_model: unknown codec");
@@ -242,7 +224,7 @@ void decode_model(std::span<const std::uint8_t> payload, nn::Module& model) {
 }
 
 std::size_t encoded_model_size(nn::Module& model, Codec codec) {
-  std::size_t total = 4 + 4 + 4 + 1 + 4;  // magic + version + crc32 + codec + count
+  std::size_t total = core::kRecordHeaderBytes + 1 + 4;  // header + codec + count
   for (nn::Parameter* p : model.parameters()) total += tensor_encoded_size(p->value, codec);
   for (nn::Buffer* b : model.buffers()) total += tensor_encoded_size(b->value, codec);
   return total;

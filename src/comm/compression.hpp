@@ -13,12 +13,12 @@
 //           to small weight perturbations (ablated in
 //           bench_paper --only ablation-compression).
 //
-// Encoded format (version 2): [magic u32 = 0xFEDC0DE6][version u32 = 2]
-// [crc32 u32][codec u8][tensor_count u32] then per tensor: rank/dims/numel
-// header (as core serialize) followed by the codec payload (+ f32 scale for
-// kInt8).  The crc32 covers everything after the checksum field, mirroring
-// the uncompressed model wire format; version-1 payloads (no checksum)
-// remain readable.
+// Encoded format: a framed record (core/record.hpp) of version 2,
+// [magic u32 = 0xFEDC0DE6][version u32 = 2][crc32 u32][codec u8]
+// [tensor_count u32], then per tensor: rank/dims/numel header (as core
+// serialize) followed by the codec payload (+ f32 scale for kInt8).  The
+// crc32 covers everything after the checksum field, as in the uncompressed
+// model wire format.
 
 #include <cstdint>
 #include <span>
@@ -43,8 +43,9 @@ inline constexpr std::uint32_t kCompressedMagic = 0xFEDC0DE6;
 std::vector<std::uint8_t> encode_model(nn::Module& model, Codec codec);
 
 /// Decodes a payload produced by encode_model into `model` (any codec; the
-/// payload is self-describing).  Throws on malformed input or architecture
-/// mismatch.
+/// payload is self-describing).  Throws ChecksumError on header and
+/// integrity failures, and std::runtime_error / std::invalid_argument on
+/// malformed input or architecture mismatch.
 void decode_model(std::span<const std::uint8_t> payload, nn::Module& model);
 
 /// Exact encoded size for `model` under `codec`.

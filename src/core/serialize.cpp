@@ -46,7 +46,7 @@ void ByteWriter::write_f32_array(std::span<const float> values) {
 }
 
 void ByteReader::require(std::size_t n) const {
-  if (cursor_ + n > bytes_.size()) {
+  if (n > bytes_.size() - cursor_) {
     throw std::runtime_error("ByteReader: truncated input (need " + std::to_string(n) +
                              " bytes, have " + std::to_string(bytes_.size() - cursor_) + ")");
   }
@@ -97,6 +97,13 @@ void ByteReader::read_f32_array(std::span<float> out) {
   require(out.size() * sizeof(float));
   std::memcpy(out.data(), bytes_.data() + cursor_, out.size() * sizeof(float));
   cursor_ += out.size() * sizeof(float);
+}
+
+std::span<const std::uint8_t> ByteReader::read_bytes(std::size_t n) {
+  require(n);
+  const std::span<const std::uint8_t> bytes = bytes_.subspan(cursor_, n);
+  cursor_ += n;
+  return bytes;
 }
 
 void write_tensor(ByteWriter& writer, const Tensor& tensor) {

@@ -4,8 +4,8 @@
 //
 // The communication substrate marshals every model exchanged between server
 // and clients through these writers so traffic is *measured*, not assumed.
-// Format: little-endian, length-prefixed, with a magic/version header at the
-// model level (added by comm::).  Floats are bit-copied (IEEE-754 assumed,
+// Format: little-endian, length-prefixed; whole records carry the framed
+// header of core/record.hpp.  Floats are bit-copied (IEEE-754 assumed,
 // statically checked).
 
 #include <cstdint>
@@ -52,6 +52,8 @@ class ByteReader {
   double read_f64();
   std::string read_string();
   void read_f32_array(std::span<float> out);
+  /// The next `n` bytes, as a view into the input.
+  std::span<const std::uint8_t> read_bytes(std::size_t n);
 
   std::size_t remaining() const { return bytes_.size() - cursor_; }
   bool exhausted() const { return remaining() == 0; }
@@ -78,7 +80,7 @@ std::size_t tensor_wire_size(const Tensor& tensor);
 
 /// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) of `data`, continuing
 /// from `crc` so checksums can be computed incrementally over chunks:
-/// crc32(ab) == crc32(b, crc32(a)).  The model wire format (version 2)
+/// crc32(ab) == crc32(b, crc32(a)).  Every framed record (core/record.hpp)
 /// carries this checksum so corrupted payloads are *detected* rather than
 /// silently deserialized.
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t crc = 0);

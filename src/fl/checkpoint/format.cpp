@@ -10,13 +10,18 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "core/serialize.hpp"
+#include "core/record.hpp"
 #include "utils/logging.hpp"
 
 namespace fedkemf::ckpt {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Every header or CRC failure is a std::runtime_error.
+constexpr core::RecordFormat kCheckpointRecord{"checkpoint", kCheckpointMagic,
+                                               kCheckpointFormatVersion, 0,
+                                               core::throw_error<std::runtime_error>};
 
 std::string checkpoint_file_name(std::uint64_t next_round) {
   char name[32];
@@ -51,58 +56,31 @@ std::vector<std::uint8_t>& Checkpoint::section(const std::string& name) {
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& checkpoint) {
-  core::ByteWriter body;
-  body.write_u64(checkpoint.next_round);
-  body.write_string(checkpoint.algorithm);
-  body.write_u32(static_cast<std::uint32_t>(checkpoint.sections.size()));
+  core::ByteWriter writer = core::begin_record();
+  writer.write_u64(checkpoint.next_round);
+  writer.write_string(checkpoint.algorithm);
+  writer.write_u32(static_cast<std::uint32_t>(checkpoint.sections.size()));
   for (const Section& s : checkpoint.sections) {
-    body.write_string(s.name);
-    body.write_u64(s.bytes.size());
-    body.write_bytes(s.bytes);
+    writer.write_string(s.name);
+    writer.write_u64(s.bytes.size());
+    writer.write_bytes(s.bytes);
   }
-
-  core::ByteWriter out;
-  out.write_u32(kCheckpointMagic);
-  out.write_u32(kCheckpointFormatVersion);
-  out.write_u32(core::crc32(body.buffer()));
-  out.write_bytes(body.buffer());
-  return out.take();
+  std::vector<std::uint8_t> out = writer.take();
+  core::seal_record(out, kCheckpointMagic, kCheckpointFormatVersion);
+  return out;
 }
 
 Checkpoint decode_checkpoint(std::span<const std::uint8_t> payload) {
-  core::ByteReader header(payload);
-  if (header.read_u32() != kCheckpointMagic) {
-    throw std::runtime_error("checkpoint: bad magic (not a checkpoint file)");
-  }
-  const std::uint32_t version = header.read_u32();
-  if (version != kCheckpointFormatVersion) {
-    throw std::runtime_error("checkpoint: unsupported format version " +
-                             std::to_string(version));
-  }
-  const std::uint32_t stored_crc = header.read_u32();
-  const std::span<const std::uint8_t> body = payload.subspan(header.position());
-  const std::uint32_t actual_crc = core::crc32(body);
-  if (stored_crc != actual_crc) {
-    throw std::runtime_error("checkpoint: CRC mismatch (stored " +
-                             std::to_string(stored_crc) + ", computed " +
-                             std::to_string(actual_crc) + ") — corrupt or truncated");
-  }
-
-  core::ByteReader reader(body);
+  core::ByteReader reader(core::open_record(payload, kCheckpointRecord));
   Checkpoint checkpoint;
   checkpoint.next_round = reader.read_u64();
   checkpoint.algorithm = reader.read_string();
   const std::uint32_t count = reader.read_u32();
-  checkpoint.sections.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     Section s;
     s.name = reader.read_string();
-    const std::uint64_t size = reader.read_u64();
-    if (size > reader.remaining()) {
-      throw std::runtime_error("checkpoint: section '" + s.name + "' truncated");
-    }
-    s.bytes.resize(static_cast<std::size_t>(size));
-    for (auto& b : s.bytes) b = reader.read_u8();
+    const std::span<const std::uint8_t> bytes = reader.read_bytes(reader.read_u64());
+    s.bytes.assign(bytes.begin(), bytes.end());
     checkpoint.sections.push_back(std::move(s));
   }
   if (!reader.exhausted()) {

@@ -9,8 +9,9 @@
 // this library free of fl dependencies and reusable for any other durable
 // state.
 //
-// On-disk layout (little-endian, core::ByteWriter conventions):
-//   [magic u32 = 0xFEDC4B01] [format u32 = 1] [crc32 u32] [body]
+// On-disk layout: a framed record (core/record.hpp), little-endian,
+//   [magic u32 = 0xFEDC4B01] [format u32 = kCheckpointFormatVersion]
+//   [crc32 u32] [body]
 //   body: [next_round u64] [algorithm string] [section_count u32]
 //         { [name string] [payload u64-length-prefixed bytes] }*
 // The CRC covers the whole body, so a torn write, a bit flip, or a truncation

@@ -1,25 +1,15 @@
 #include "net/frame.hpp"
 
-#include <cstdio>
-#include <cstring>
-
-#include "core/serialize.hpp"
+#include "core/record.hpp"
 
 namespace fedkemf::net {
 
 namespace {
 
-std::uint32_t load_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void store_u32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
+/// Length-framed; decode_frame_header applies the caller's FrameLimits.
+constexpr core::RecordFormat kFrameRecord{"frame", kFrameMagic, 0,
+                                          FrameLimits{}.max_frame_bytes,
+                                          core::throw_error<ProtocolError>};
 
 std::uint64_t load_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
@@ -119,7 +109,11 @@ std::uint64_t siphash24(const FrameKey& key, std::span<const std::uint8_t> data)
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame, const FrameKey* key) {
-  core::ByteWriter writer;
+  const std::size_t tag_bytes = key != nullptr ? kFrameTagBytes : 0;
+  // 22 fixed bytes: type, flags, round, client and three u32 counts.
+  core::ByteWriter writer = core::begin_record(22 + frame.name.size() +
+                                               8 * frame.scalars.size() + frame.body.size() +
+                                               tag_bytes);
   writer.write_u8(static_cast<std::uint8_t>(frame.type));
   writer.write_u8(key != nullptr ? static_cast<std::uint8_t>(frame.flags | kFlagAuthTag)
                                  : frame.flags);
@@ -130,47 +124,29 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame, const FrameKey* key) 
   for (const double scalar : frame.scalars) writer.write_f64(scalar);
   writer.write_u32(static_cast<std::uint32_t>(frame.body.size()));
   writer.write_bytes(frame.body);
-  const std::vector<std::uint8_t> payload = writer.take();
-
-  const std::size_t tag_bytes = key != nullptr ? kFrameTagBytes : 0;
-  std::vector<std::uint8_t> out(kFrameHeaderBytes + payload.size() + tag_bytes);
-  store_u32(out.data(), kFrameMagic);
-  store_u32(out.data() + 4, static_cast<std::uint32_t>(payload.size() + tag_bytes));
-  store_u32(out.data() + 8, core::crc32(payload));
-  std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
   if (key != nullptr) {
-    store_u64(out.data() + kFrameHeaderBytes + payload.size(), siphash24(*key, payload));
+    const std::span<const std::uint8_t> payload(writer.buffer());
+    writer.write_u64(siphash24(*key, payload.subspan(kFrameHeaderBytes)));
   }
+  std::vector<std::uint8_t> out = writer.take();
+  // The length counts the tag; the CRC covers the payload before it.
+  core::seal_record(std::span<std::uint8_t>(out).first(out.size() - tag_bytes), kFrameMagic,
+                    static_cast<std::uint32_t>(out.size() - kFrameHeaderBytes));
   return out;
 }
 
 std::size_t decode_frame_header(std::span<const std::uint8_t, kFrameHeaderBytes> header,
                                 const FrameLimits& limits, std::uint32_t* crc_out) {
-  const std::uint32_t magic = load_u32(header.data());
-  if (magic != kFrameMagic) {
-    char text[32];
-    std::snprintf(text, sizeof(text), "0x%08X", magic);
-    throw ProtocolError("frame: bad magic " + std::string(text) +
-                        " (peer is not speaking the fedkemf protocol)");
-  }
-  const std::uint32_t length = load_u32(header.data() + 4);
-  if (length > limits.max_frame_bytes) {
-    throw ProtocolError("frame: declared payload of " + std::to_string(length) +
-                        " bytes exceeds the " + std::to_string(limits.max_frame_bytes) +
-                        "-byte limit");
-  }
-  if (crc_out != nullptr) *crc_out = load_u32(header.data() + 8);
-  return length;
+  core::RecordFormat format = kFrameRecord;
+  format.max_length = limits.max_frame_bytes;
+  const core::RecordHeader fields = core::read_record_header(header, format);
+  if (crc_out != nullptr) *crc_out = fields.crc;
+  return fields.word;
 }
 
 Frame decode_frame_payload(std::span<const std::uint8_t> payload,
                            std::uint32_t expected_crc) {
-  const std::uint32_t actual_crc = core::crc32(payload);
-  if (actual_crc != expected_crc) {
-    throw ProtocolError("frame: payload checksum mismatch (expected " +
-                        std::to_string(expected_crc) + ", got " +
-                        std::to_string(actual_crc) + ")");
-  }
+  core::verify_record_crc(payload, expected_crc, kFrameRecord);
   try {
     core::ByteReader reader(payload);
     Frame frame;
@@ -198,10 +174,8 @@ Frame decode_frame_payload(std::span<const std::uint8_t> payload,
                           " disagrees with the remaining " +
                           std::to_string(reader.remaining()) + " payload bytes");
     }
-    frame.body.resize(body_len);
-    if (body_len > 0) {
-      std::memcpy(frame.body.data(), payload.data() + reader.position(), body_len);
-    }
+    const std::span<const std::uint8_t> body = reader.read_bytes(body_len);
+    frame.body.assign(body.begin(), body.end());
     return frame;
   } catch (const ProtocolError&) {
     throw;
@@ -254,38 +228,20 @@ void write_frame(int fd, const Frame& frame, const Deadline& deadline,
 }
 
 void validate_model_body(std::span<const std::uint8_t> body) {
-  if (body.size() < 16) {
-    throw comm::ChecksumError("model payload: truncated header (" +
-                              std::to_string(body.size()) + " bytes; need at least 16)");
+  const std::span<const std::uint8_t> tensors = core::open_record(body, comm::kModelRecord);
+  if (tensors.size() < 4) {
+    throw comm::ChecksumError("model: no tensor count in " + std::to_string(tensors.size()) +
+                              " body bytes");
   }
-  const std::uint32_t magic = load_u32(body.data());
-  if (magic != comm::kModelMagic) {
-    throw comm::ChecksumError("model payload: bad magic over the socket transport");
-  }
-  const std::uint32_t version = load_u32(body.data() + 4);
-  if (version == 1) {
-    throw comm::ChecksumError(
-        "model payload: wire format v1 carries no checksum and is not accepted over the "
-        "socket transport (re-serialize with version 2)");
-  }
-  if (version != comm::kModelVersion) {
-    throw comm::ChecksumError("model payload: unsupported wire format version " +
-                              std::to_string(version));
-  }
-  const std::uint32_t expected_crc = load_u32(body.data() + 8);
-  const std::uint32_t actual_crc = core::crc32(body.subspan(12));
-  if (expected_crc != actual_crc) {
-    throw comm::ChecksumError("model payload: checksum mismatch over the socket transport");
-  }
-  const std::uint32_t tensor_count = load_u32(body.data() + 12);
+  const std::uint32_t tensor_count = core::ByteReader(tensors).read_u32();
   // write_tensor emits at least 9 bytes per tensor (dtype tag + rank + one
   // scalar's shape/data); a count that cannot fit is structurally bogus even
   // though its CRC matches (i.e. it was *serialized* that way).
-  const std::size_t tensor_bytes = body.size() - 16;
+  const std::size_t tensor_bytes = tensors.size() - 4;
   if (static_cast<std::size_t>(tensor_count) > tensor_bytes / 9 + 1) {
-    throw comm::ChecksumError("model payload: tensor_count " +
-                              std::to_string(tensor_count) + " cannot fit in " +
-                              std::to_string(tensor_bytes) + " payload bytes");
+    throw comm::ChecksumError("model: tensor_count " + std::to_string(tensor_count) +
+                              " cannot fit in " + std::to_string(tensor_bytes) +
+                              " payload bytes");
   }
 }
 

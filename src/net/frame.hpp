@@ -2,7 +2,8 @@
 
 // Length-prefixed message protocol of the multi-process federation.
 //
-// Every message between fed_server and fed_client is one frame:
+// Every message between fed_server and fed_client is one frame, a
+// length-framed record (core/record.hpp):
 //
 //   [magic u32 = 0xFEDF4A3E] [length u32] [crc32 u32] [payload ...]
 //
@@ -19,10 +20,8 @@
 // TASK (server -> client: a model payload to train against), UPLOAD
 // (client -> server: the trained model payload + bookkeeping scalars),
 // ACK (handshake replies), BYE (orderly goodbye), PING/PONG (liveness
-// heartbeats, empty-bodied).  TASK/UPLOAD bodies are the existing model
-// wire format **version 2 only** — v1 has no checksum, and bytes that
-// crossed a real socket without one are not trusted (validate_model_body
-// rejects them with a typed ChecksumError).
+// heartbeats, empty-bodied).  TASK/UPLOAD bodies are the model wire
+// format, and validate_model_body screens them with a typed ChecksumError.
 //
 // When a pre-shared key is configured, every frame additionally carries an
 // 8-byte SipHash-2-4 tag after the payload (`length` then counts payload +
@@ -43,6 +42,7 @@
 #include <vector>
 
 #include "comm/channel.hpp"
+#include "core/record.hpp"
 #include "net/socket.hpp"
 
 namespace fedkemf::net {
@@ -50,7 +50,7 @@ namespace fedkemf::net {
 inline constexpr std::uint32_t kFrameMagic = 0xFEDF4A3E;
 inline constexpr std::uint32_t kProtocolVersion = 1;
 /// magic + length + crc32.
-inline constexpr std::size_t kFrameHeaderBytes = 12;
+inline constexpr std::size_t kFrameHeaderBytes = core::kRecordHeaderBytes;
 
 /// A frame failed structural validation (bad magic, oversize length, CRC
 /// mismatch, truncated or trailing payload bytes).
@@ -148,12 +148,10 @@ void write_frame(int fd, const Frame& frame, const Deadline& deadline,
                  const FrameKey* key = nullptr);
 
 /// Validates that `body` is a structurally plausible model payload for the
-/// socket transport: wire-format magic, version exactly 2 (v1 carries no
-/// checksum and is rejected on principle when it arrives over a real wire),
-/// a CRC32 that matches, and a tensor_count that could fit in the payload.
-/// Throws comm::ChecksumError (or std::runtime_error for the version case's
-/// sibling paths) exactly like deserialize_model would, just earlier and
-/// without needing the destination module.
+/// socket transport: the model wire format's magic, version and CRC32, and a
+/// tensor_count that could fit in the payload.  Throws comm::ChecksumError
+/// like deserialize_model would, just earlier and without needing the
+/// destination module.
 void validate_model_body(std::span<const std::uint8_t> body);
 
 // ---- HELLO / ACK bodies ----

@@ -1,8 +1,10 @@
 #include "net/transport.hpp"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
+#include "core/record.hpp"
 #include "obs/metrics.hpp"
 
 namespace fedkemf::net {
@@ -73,13 +75,8 @@ FaultyTransport::Outcome FaultyTransport::attempt(std::vector<std::uint8_t>& pay
 }
 
 void screen_wire_body(const std::vector<std::uint8_t>& body) {
-  if (body.size() >= 4) {
-    const std::uint32_t magic = static_cast<std::uint32_t>(body[0]) |
-                                (static_cast<std::uint32_t>(body[1]) << 8) |
-                                (static_cast<std::uint32_t>(body[2]) << 16) |
-                                (static_cast<std::uint32_t>(body[3]) << 24);
-    if (magic != comm::kModelMagic) return;  // codec-framed; its decoder checks
-  }
+  const std::optional<core::RecordHeader> header = core::peek_record_header(body);
+  if (header && header->magic != comm::kModelMagic) return;  // codec-framed; its decoder checks
   validate_model_body(body);
 }
 
@@ -139,9 +136,9 @@ comm::Transport::Outcome ServerTransport::attempt(std::vector<std::uint8_t>& pay
     }
     return Outcome::kDropped;
   }
-  // Strict mode surfaces the typed ChecksumError for v1/garbage bodies — the
-  // delivery contract's promise for malformed wire payloads.  Elastic mode
-  // treats a corrupt upload like a lost one: dropped, retried, recorded.
+  // Strict mode surfaces the typed ChecksumError, the delivery contract's
+  // promise for malformed wire payloads.  Elastic mode treats a corrupt
+  // upload like a lost one: dropped, retried, recorded.
   try {
     screen_wire_body(upload->body);
   } catch (const comm::ChecksumError&) {

@@ -10,7 +10,7 @@
 #include <map>
 #include <stdexcept>
 
-#include "core/serialize.hpp"
+#include "core/record.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "utils/logging.hpp"
@@ -19,9 +19,10 @@ namespace fedkemf::net {
 
 namespace {
 
-/// Generous ceiling: a record is one frame plus bookkeeping, and the frame
-/// protocol itself caps payloads at 64 MiB.
-constexpr std::size_t kWalMaxRecordBytes = 80ull << 20;
+/// Length-framed with a generous ceiling: a record is one frame plus
+/// bookkeeping, and the frame protocol itself caps payloads at 64 MiB.
+constexpr core::RecordFormat kWalRecord{"wal", kWalMagic, 0, 80ull << 20,
+                                        core::throw_error<std::runtime_error>};
 
 obs::Counter& counter_wal_appends() {
   static auto& c = obs::MetricsRegistry::global().counter("wal.appends");
@@ -30,12 +31,6 @@ obs::Counter& counter_wal_appends() {
 obs::Counter& counter_wal_bytes() {
   static auto& c = obs::MetricsRegistry::global().counter("wal.bytes");
   return c;
-}
-
-std::uint32_t read_le_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 bool valid_type(std::uint8_t type) {
@@ -63,16 +58,10 @@ WalRecord decode_wal_payload(std::span<const std::uint8_t> payload) {
   // payload exactly (catches both truncation and trailing bytes).
   const std::uint64_t body_size = reader.read_u64();
   if (body_size != reader.remaining()) throw std::runtime_error("wal: record body size mismatch");
-  record.body.resize(static_cast<std::size_t>(body_size));
-  if (body_size > 0) {
-    std::memcpy(record.body.data(), payload.data() + reader.position(), record.body.size());
-  }
+  const std::span<const std::uint8_t> body = reader.read_bytes(body_size);
+  record.body.assign(body.begin(), body.end());
   return record;
 }
-
-}  // namespace
-
-namespace {
 
 /// Preallocation granularity: extending the file in extent-sized chunks
 /// instead of per-append block allocation roughly halves the kernel cost of
@@ -80,43 +69,26 @@ namespace {
 /// and is trimmed on clean close / truncated on reopen).
 constexpr std::size_t kWalPreallocBytes = 8ull << 20;
 
-/// Everything before the body bytes: the record payload is (meta || body),
-/// split so append() can CRC and write the body in place instead of copying
-/// it into a concatenated buffer.
-std::vector<std::uint8_t> encode_wal_meta(const WalRecord& record) {
-  core::ByteWriter meta;
-  meta.reserve(64 + record.name.size() + 8 * record.scalars.size());
-  meta.write_u8(static_cast<std::uint8_t>(record.type));
-  meta.write_u32(record.round);
-  meta.write_u32(record.client);
-  meta.write_u32(record.aux);
-  meta.write_u8(record.flag);
-  meta.write_string(record.name);
-  meta.write_u32(static_cast<std::uint32_t>(record.scalars.size()));
-  for (const double s : record.scalars) meta.write_f64(s);
-  meta.write_u64(record.body.size());
-  return meta.take();
-}
-
-std::vector<std::uint8_t> encode_wal_header(std::uint32_t crc, std::size_t payload_size) {
-  core::ByteWriter header;
-  header.write_u32(kWalMagic);
-  header.write_u32(crc);
-  header.write_u32(static_cast<std::uint32_t>(payload_size));
-  return header.take();
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_wal_record(const WalRecord& record) {
-  const std::vector<std::uint8_t> meta = encode_wal_meta(record);
-  const std::uint32_t crc = core::crc32(record.body, core::crc32(meta));
-  core::ByteWriter out;
-  out.reserve(kWalRecordHeaderBytes + meta.size() + record.body.size());
-  out.write_bytes(encode_wal_header(crc, meta.size() + record.body.size()));
-  out.write_bytes(meta);
-  out.write_bytes(record.body);
-  return out.take();
+  // 30 fixed bytes: type, round, client, aux, flag and three counts.
+  core::ByteWriter writer = core::begin_record(30 + record.name.size() +
+                                               8 * record.scalars.size() + record.body.size());
+  writer.write_u8(static_cast<std::uint8_t>(record.type));
+  writer.write_u32(record.round);
+  writer.write_u32(record.client);
+  writer.write_u32(record.aux);
+  writer.write_u8(record.flag);
+  writer.write_string(record.name);
+  writer.write_u32(static_cast<std::uint32_t>(record.scalars.size()));
+  for (const double s : record.scalars) writer.write_f64(s);
+  writer.write_u64(record.body.size());
+  writer.write_bytes(record.body);
+  std::vector<std::uint8_t> out = writer.take();
+  core::seal_record(out, kWalMagic,
+                    static_cast<std::uint32_t>(out.size() - core::kRecordHeaderBytes));
+  return out;
 }
 
 WalScan scan_wal(const std::string& path) {
@@ -129,25 +101,22 @@ WalScan scan_wal(const std::string& path) {
   file.read(reinterpret_cast<char*>(bytes.data()), size);
   if (!file) throw std::runtime_error("wal: read failed for '" + path + "'");
 
-  std::size_t offset = 0;
-  while (bytes.size() - offset >= kWalRecordHeaderBytes) {
-    const std::uint8_t* header = bytes.data() + offset;
-    if (read_le_u32(header) != kWalMagic) break;
-    const std::uint32_t stored_crc = read_le_u32(header + 4);
-    const std::size_t length = read_le_u32(header + 8);
-    if (length > kWalMaxRecordBytes) break;
-    if (bytes.size() - offset - kWalRecordHeaderBytes < length) break;  // torn tail
-    const std::span<const std::uint8_t> payload(header + kWalRecordHeaderBytes, length);
-    if (core::crc32(payload) != stored_crc) break;
-    try {
+  std::span<const std::uint8_t> rest(bytes);
+  try {
+    while (!rest.empty()) {
+      const core::RecordHeader header = core::read_record_header(rest, kWalRecord);
+      if (rest.size() - core::kRecordHeaderBytes < header.word) break;  // torn tail
+      const std::span<const std::uint8_t> payload =
+          rest.subspan(core::kRecordHeaderBytes, header.word);
+      core::verify_record_crc(payload, header.crc, kWalRecord);
       scan.records.push_back(decode_wal_payload(payload));
-    } catch (const std::exception&) {
-      break;  // CRC passed but the payload is structurally invalid: stop here
+      rest = rest.subspan(core::kRecordHeaderBytes + header.word);
     }
-    offset += kWalRecordHeaderBytes + length;
+  } catch (const std::exception&) {
+    // A bad header or CRC, or a structurally invalid payload: stop here.
   }
-  scan.valid_bytes = offset;
-  scan.torn = offset != bytes.size();
+  scan.valid_bytes = bytes.size() - rest.size();
+  scan.torn = !rest.empty();
   return scan;
 }
 
@@ -200,32 +169,21 @@ void WriteAheadLog::reserve_capacity(std::size_t need) {
 }
 
 void WriteAheadLog::append(const WalRecord& record) {
-  // The payload is (meta || body); CRC it incrementally and write the three
-  // pieces back to back, so the model-sized body is never copied into a
-  // concatenated buffer.
-  const std::vector<std::uint8_t> meta = encode_wal_meta(record);
-  const std::uint32_t crc = core::crc32(record.body, core::crc32(meta));
-  const std::vector<std::uint8_t> header =
-      encode_wal_header(crc, meta.size() + record.body.size());
-  const std::size_t total = header.size() + meta.size() + record.body.size();
+  const std::vector<std::uint8_t> bytes = encode_wal_record(record);
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) throw std::runtime_error("wal: log is closed");
-  reserve_capacity(total);
+  reserve_capacity(bytes.size());
   // fwrite + fflush lands the record in the kernel, which survives any
   // process death; fsync (an OS-crash concern) is deferred to sync().
-  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size() ||
-      std::fwrite(meta.data(), 1, meta.size(), file_) != meta.size() ||
-      (!record.body.empty() &&
-       std::fwrite(record.body.data(), 1, record.body.size(), file_) !=
-           record.body.size()) ||
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size() ||
       std::fflush(file_) != 0) {
     throw std::runtime_error("wal: append failed for '" + path_ + "'");
   }
-  logical_size_ += total;
+  logical_size_ += bytes.size();
   ++records_appended_;
-  bytes_appended_ += total;
+  bytes_appended_ += bytes.size();
   counter_wal_appends().add(1);
-  counter_wal_bytes().add(total);
+  counter_wal_bytes().add(bytes.size());
 }
 
 void WriteAheadLog::sync() {

@@ -28,13 +28,13 @@
 // upload that was parked but never consumed before a crash is simply
 // re-trained: the resumed round re-TASKs its reconnecting client.
 //
-// Record framing: [magic u32][crc32 u32][length u32][payload], CRC over the
-// payload.  The fields are those of a wire frame (net/frame.hpp) in another
-// order: a frame puts the length before the CRC.  A torn tail, a truncation
-// or a bit flip is *detected* — replay stops at the last valid record (one
-// interval lost, never a crash or silent corruption), exactly the checkpoint
-// container's contract.  Opening an existing log truncates the torn tail
-// before appending, so a crashed process never poisons its successor's log.
+// Record framing: a length-framed record (core/record.hpp) in the field
+// order of a wire frame, [magic u32][length u32][crc32 u32][payload], CRC
+// over the payload.  A torn tail, a truncation or a bit flip is *detected* —
+// replay stops at the last valid record (one interval lost, never a crash or
+// silent corruption), exactly the checkpoint container's contract.  Opening
+// an existing log truncates the torn tail before appending, so a crashed
+// process never poisons its successor's log.
 //
 // Durability policy: every append is flushed to the kernel (fwrite+fflush),
 // so the log survives any process death — SIGKILL included.  fsync happens at
@@ -60,7 +60,6 @@
 namespace fedkemf::net {
 
 inline constexpr std::uint32_t kWalMagic = 0xFEDAF11Eu;
-inline constexpr std::size_t kWalRecordHeaderBytes = 12;  ///< magic + crc + length
 
 enum class WalRecordType : std::uint8_t {
   kRoundStart = 1,

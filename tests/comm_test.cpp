@@ -1,5 +1,5 @@
-// Communication substrate tests: model wire format round trips (versions 1
-// and 2), CRC32 integrity, byte-exact accounting, traffic metering, thread
+// Communication substrate tests: model wire format round trips, CRC32
+// integrity, byte-exact accounting, traffic metering, thread
 // safety, fault-hook retry behavior, and the link cost model.
 
 #include <cmath>
@@ -119,27 +119,6 @@ TEST(ModelSerialize, ChecksumErrorMessageNamesOffsetAndValues) {
     const std::string what = e.what();
     EXPECT_NE(what.find("offset"), std::string::npos) << what;
     EXPECT_NE(what.find("expected"), std::string::npos) << what;
-  }
-}
-
-TEST(ModelSerialize, LegacyVersion1PayloadStillReadable) {
-  auto src = small_model(25);
-  auto dst = small_model(26);
-  auto v2 = serialize_model(*src);
-  // A version-1 payload is the version-2 layout minus the crc32 field, with
-  // the version field rewritten.
-  std::vector<std::uint8_t> v1;
-  v1.insert(v1.end(), v2.begin(), v2.begin() + 8);
-  v1.insert(v1.end(), v2.begin() + 12, v2.end());
-  v1[4] = 1;  // version (little-endian u32)
-  v1[5] = v1[6] = v1[7] = 0;
-  ASSERT_NO_THROW(deserialize_model(v1, *dst));
-  const auto ps = src->parameters();
-  const auto pd = dst->parameters();
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    for (std::size_t j = 0; j < ps[i]->value.numel(); ++j) {
-      ASSERT_EQ(ps[i]->value[j], pd[i]->value[j]);
-    }
   }
 }
 

@@ -446,9 +446,13 @@ TEST_F(ServerFixture, AwaitUploadTimesOutWithoutTraffic) {
 
 TEST_F(ServerFixture, ConcurrentUploadsFromManyClientsAllArrive) {
   constexpr std::uint32_t kClients = 6;
+  // Every session stays open until all uploads are claimed: a session that
+  // left early would be missing from the barrier below, and await_upload
+  // gives up on an id that is no longer registered.
+  std::atomic<bool> all_claimed{false};
   std::vector<std::thread> threads;
   for (std::uint32_t id = 0; id < kClients; ++id) {
-    threads.emplace_back([this, id] {
+    threads.emplace_back([this, id, &all_claimed] {
       auto session = connect(id);
       Frame upload;
       upload.type = FrameType::kUpload;
@@ -457,8 +461,8 @@ TEST_F(ServerFixture, ConcurrentUploadsFromManyClientsAllArrive) {
       upload.name = "model";
       upload.body = {static_cast<std::uint8_t>(id)};
       session->send(upload, Deadline::after(5.0));
-      // Hold the connection open until the server has claimed the upload.
-      while (server_->is_connected(id) && server_->frames_received() < 2 * kClients) {
+      const Deadline deadline = Deadline::after(30.0);
+      while (!all_claimed.load() && !deadline.expired()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
     });
@@ -470,6 +474,7 @@ TEST_F(ServerFixture, ConcurrentUploadsFromManyClientsAllArrive) {
   for (std::uint32_t id = 0; id < kClients; ++id) {
     claimed[id] = server_->await_upload(1, id, "model", Deadline::after(10.0));
   }
+  all_claimed.store(true);
   for (auto& t : threads) t.join();
   for (std::uint32_t id = 0; id < kClients; ++id) {
     ASSERT_TRUE(claimed[id].has_value()) << "client " << id;

@@ -67,6 +67,21 @@ TEST(ByteReader, TruncatedStringThrows) {
   EXPECT_THROW(reader.read_string(), std::runtime_error);
 }
 
+TEST(ByteReader, ReadBytesViewsTheInputAndChecksBounds) {
+  const std::vector<std::uint8_t> bytes = {1, 2, 3, 4, 5};
+  ByteReader reader(bytes);
+  reader.read_u8();
+  const std::span<const std::uint8_t> view = reader.read_bytes(3);
+  EXPECT_EQ(view.data(), bytes.data() + 1);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()),
+            (std::vector<std::uint8_t>{2, 3, 4}));
+  EXPECT_THROW(reader.read_bytes(2), std::runtime_error);
+  // A length near SIZE_MAX must not wrap the bounds check.
+  EXPECT_THROW(reader.read_bytes(~std::size_t{0}), std::runtime_error);
+  EXPECT_EQ(reader.read_bytes(1)[0], 5);
+  EXPECT_TRUE(reader.exhausted());
+}
+
 TEST(TensorSerialize, RoundTripPreservesEverything) {
   Rng rng(9);
   for (const Shape& shape : {Shape{7}, Shape{3, 4}, Shape{2, 3, 4}, Shape{2, 3, 4, 5}}) {

@@ -41,12 +41,13 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/serialize.hpp"
+#include "core/record.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "utils/cli.hpp"
@@ -153,19 +154,14 @@ void pump_leg(const std::shared_ptr<Conn>& conn, std::uint64_t conn_id, int leg,
   try {
     while (!g_stop.load(std::memory_order_relaxed) && !conn->dead.load()) {
       // Slice complete frames off the front of the buffer.
-      while (!raw && buf.size() >= net::kFrameHeaderBytes) {
-        const std::uint32_t magic = static_cast<std::uint32_t>(buf[0]) |
-                                    (static_cast<std::uint32_t>(buf[1]) << 8) |
-                                    (static_cast<std::uint32_t>(buf[2]) << 16) |
-                                    (static_cast<std::uint32_t>(buf[3]) << 24);
-        if (magic != net::kFrameMagic) {
+      while (!raw) {
+        const std::optional<core::RecordHeader> header = core::peek_record_header(buf);
+        if (!header) break;
+        if (header->magic != net::kFrameMagic) {
           raw = true;
           break;
         }
-        const std::size_t length = static_cast<std::size_t>(buf[4]) |
-                                   (static_cast<std::size_t>(buf[5]) << 8) |
-                                   (static_cast<std::size_t>(buf[6]) << 16) |
-                                   (static_cast<std::size_t>(buf[7]) << 24);
+        const std::size_t length = header->word;
         const std::size_t total = net::kFrameHeaderBytes + length;
         if (buf.size() < total) break;
 
@@ -203,12 +199,7 @@ void pump_leg(const std::shared_ptr<Conn>& conn, std::uint64_t conn_id, int leg,
           if (rates.fix_crc) {
             // Recompute the CRC over the tampered payload: the checksum now
             // passes and only keyed frame auth can reject the frame.
-            const std::uint32_t crc = core::crc32(std::span<const std::uint8_t>(
-                frame.data() + net::kFrameHeaderBytes, length));
-            frame[8] = static_cast<std::uint8_t>(crc & 0xFF);
-            frame[9] = static_cast<std::uint8_t>((crc >> 8) & 0xFF);
-            frame[10] = static_cast<std::uint8_t>((crc >> 16) & 0xFF);
-            frame[11] = static_cast<std::uint8_t>((crc >> 24) & 0xFF);
+            core::seal_record(frame, header->magic, header->word);
           }
         }
         const bool dribble = !graced && uniform_from(h, 0xD81Bull) < rates.dribble;

@@ -397,7 +397,7 @@ def run_overload(args):
                  "control / fusion cap / spill all engaged and counted")
 
 
-# WAL record framing (src/net/wal.hpp): [magic u32][crc32 u32][length u32]
+# WAL record framing (src/net/wal.hpp): [magic u32][length u32][crc32 u32]
 # [payload], little-endian, payload byte 0 is the record type.  The crash
 # scenario parses the log the server is writing to aim each SIGKILL at a
 # phase that forces the restarted server down a distinct recovery path.
@@ -421,7 +421,7 @@ def wal_record_types(path):
         return []
     types, off = [], 0
     while off + 12 <= len(blob):
-        magic, _crc, length = struct.unpack_from("<III", blob, off)
+        magic, length, _crc = struct.unpack_from("<III", blob, off)
         if magic != WAL_MAGIC or length < 1 or off + 12 + length > len(blob):
             break  # torn tail — same stop rule as the server's scan
         types.append(blob[off + 12])
